@@ -1,0 +1,178 @@
+"""The reflective and monotone-light factorizations of a 2-functor.
+
+The reflective middle object is the fiber product of the target's
+reflection unit with the reflected functor.  The monotone-light middle
+object keeps the source's objects and 1-cells and carries, between each
+parallel pair, the image of the source hom; this makes the first factor
+surjective on homs and the second faithful by construction.
+"""
+
+from dataclasses import dataclass
+
+from .classify import (
+    classify,
+    is_covering,
+    is_stably_vertical,
+    is_trivial_covering,
+    is_vertical,
+)
+from .core import (
+    TwoCategory,
+    TwoFunctor,
+    compose_two_functors,
+    functors_equal,
+    validate_two_category,
+    validate_two_functor,
+)
+from .limits import pair_into_pullback, pullback
+from .reflection import reflect, reflect_functor
+
+
+@dataclass(frozen=True)
+class MLFactorization:
+    """A factorization ``f = m . e`` with class certificates for both legs."""
+
+    e: TwoFunctor
+    m: TwoFunctor
+    middle: TwoCategory
+    system: str
+    certificates: dict
+
+
+def reflective_factor(fun):
+    """Factor ``fun`` through the fiber product of the unit at its target.
+
+    The second leg is the projection of that fiber product, the first the
+    canonical comparison; their classes are the inverted-by-reflection
+    morphisms and the trivial coverings.
+    """
+    square = pullback(reflect(fun.target).unit, reflect_functor(fun))
+    e = pair_into_pullback(square, fun, reflect(fun.source).unit)
+    m = square.proj1
+    return MLFactorization(
+        e=e,
+        m=m,
+        middle=square.apex,
+        system="reflective",
+        certificates={"e": classify(e), "m": classify(m)},
+    )
+
+
+def _tag(h, k, b):
+    return f"({h}=>{k}|{b})"
+
+
+def monotone_light_factor(fun):
+    """Factor ``fun`` through the per-hom image of its 2-cell map.
+
+    The middle object has the source's objects and 1-cells; between a
+    parallel pair ``(h, k)`` it carries one 2-cell per target cell hit by
+    the source hom, tagged with the pair so that the second leg stays
+    faithful.  Compositions are induced from the target; the induced value
+    is asserted to land in the tagged image again.
+    """
+    src, tgt = fun.source, fun.target
+
+    two_cells = {}
+    components = {}
+    for t in sorted(src.two_cells):
+        h, k = src.two_cells[t]
+        name = _tag(h, k, fun.f2[t])
+        two_cells[name] = (h, k)
+        components[name] = fun.f2[t]
+
+    two_identity = {
+        h: _tag(h, h, fun.f2[src.two_identity[h]]) for h in src.one_cells
+    }
+
+    middle = TwoCategory(
+        objects=src.objects,
+        one_cells=dict(src.one_cells),
+        one_identity=dict(src.one_identity),
+        one_compose=dict(src.one_compose),
+        two_cells=two_cells,
+        two_identity=two_identity,
+        vert_compose={},
+        horiz_compose={},
+    )
+    vert_compose = {}
+    for b, a in middle.vert_pairs():
+        value = tgt.vert_compose[(components[b], components[a])]
+        name = _tag(middle.vdom(a), middle.vcod(b), value)
+        assert name in two_cells
+        vert_compose[(b, a)] = name
+    horiz_compose = {}
+    for b, a in middle.horiz_pairs():
+        value = tgt.horiz_compose[(components[b], components[a])]
+        name = _tag(
+            src.one_compose[(middle.vdom(b), middle.vdom(a))],
+            src.one_compose[(middle.vcod(b), middle.vcod(a))],
+            value,
+        )
+        assert name in two_cells
+        horiz_compose[(b, a)] = name
+    middle = TwoCategory(
+        objects=src.objects,
+        one_cells=dict(src.one_cells),
+        one_identity=dict(src.one_identity),
+        one_compose=dict(src.one_compose),
+        two_cells=two_cells,
+        two_identity=two_identity,
+        vert_compose=vert_compose,
+        horiz_compose=horiz_compose,
+    )
+
+    e = TwoFunctor(
+        source=src,
+        target=middle,
+        f0={x: x for x in src.objects},
+        f1={u: u for u in src.one_cells},
+        f2={t: _tag(*src.two_cells[t], fun.f2[t]) for t in src.two_cells},
+    )
+    m = TwoFunctor(
+        source=middle,
+        target=tgt,
+        f0=dict(fun.f0),
+        f1=dict(fun.f1),
+        f2=dict(components),
+    )
+    return MLFactorization(
+        e=e,
+        m=m,
+        middle=middle,
+        system="monotone_light",
+        certificates={"e": classify(e), "m": classify(m)},
+    )
+
+
+def verify_factorization(fun, fac):
+    """Violations of ``fac`` as a factorization of ``fun`` (empty = valid)."""
+    bad = []
+    if fac.e.source != fun.source:
+        bad.append("first factor does not start at the source")
+    if fac.m.target != fun.target:
+        bad.append("second factor does not end at the target")
+    if fac.e.target != fac.middle or fac.m.source != fac.middle:
+        bad.append("factors do not meet in the middle object")
+        return bad
+    if not functors_equal(compose_two_functors(fac.m, fac.e), fun):
+        bad.append("the two factors do not compose to the original functor")
+    if not validate_two_category(fac.middle).all_pass:
+        bad.append("the middle object is not a 2-category")
+    for leg, name in ((fac.e, "first factor"), (fac.m, "second factor")):
+        violations = validate_two_functor(leg)
+        if violations:
+            bad.append(f"{name} is not a 2-functor: {violations[0]}")
+    if fac.system == "reflective":
+        if not is_vertical(fac.e):
+            bad.append("first factor is not inverted by the reflection")
+        if not is_trivial_covering(fac.m):
+            bad.append("second factor is not a trivial covering")
+    elif fac.system == "monotone_light":
+        if not is_stably_vertical(fac.e):
+            bad.append("first factor is not stably vertical")
+        if not is_covering(fac.m):
+            bad.append("second factor is not a covering")
+    else:
+        bad.append(f"unknown factorization system tag {fac.system!r}")
+    return bad
