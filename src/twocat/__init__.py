@@ -17,10 +17,10 @@ from .core import (
     DEFAULT_CAPS,
     LAW_NAMES,
     AxiomReport,
-    RelaxedTwoCategory,
     SearchCaps,
     TwoCategory,
     TwoFunctor,
+    TwoReflexiveGraph,
     build_two_category,
     compose_two_functors,
     coproduct,
@@ -37,6 +37,7 @@ from .core import (
 from .errors import (
     BudgetExceeded,
     CyclicPresentation,
+    LawViolation,
     MalformedData,
     MismatchedBoundary,
     MismatchedTarget,
@@ -71,14 +72,12 @@ from .limits import (
     pair_into_pullback,
     product,
     pullback,
-    relaxed_pullback,
     terminal,
     terminal_functor,
 )
 from .reflection import (
     GraphMorphism,
     ReflectionResult,
-    TwoReflexiveGraph,
     check_semi_left_exact,
     check_stable_units,
     connected_component,

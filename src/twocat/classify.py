@@ -8,7 +8,7 @@ input.  Witnesses are the lexicographically least failing cells.
 
 from dataclasses import dataclass
 
-from .core import enumerate_two_functors
+from .core import _bijectivity_witness, enumerate_two_functors
 from .limits import pair_into_pullback, pullback
 from .reflection import reflect, reflect_functor
 
@@ -30,20 +30,6 @@ class ClassificationReport:
             "trivial_covering": self.trivial_covering,
             "covering": self.covering,
         }
-
-
-def _bijectivity_witness(mapping, codomain):
-    """Least witness that a carrier map is not a bijection, else ``None``."""
-    images = {}
-    for key in sorted(mapping):
-        value = mapping[key]
-        if value in images:
-            return (images[value], key)
-        images[value] = key
-    unhit = sorted(set(codomain) - set(images))
-    if unhit:
-        return (unhit[0],)
-    return None
 
 
 def is_edm(fun, witness=None):
@@ -174,16 +160,14 @@ def trivial_covering_oracle(fun):
     square = pullback(unit_b, reflected_f)
     unit_a = reflect(fun.source).unit
     comparison = pair_into_pullback(square, fun, unit_a)
-    return (
-        _is_bijection(comparison.f0, square.apex.objects)
-        and _is_bijection(comparison.f1, square.apex.one_cells)
-        and _is_bijection(comparison.f2, square.apex.two_cells)
+    return all(
+        _bijectivity_witness(mapping, codomain) is None
+        for mapping, codomain in (
+            (comparison.f0, square.apex.objects),
+            (comparison.f1, square.apex.one_cells),
+            (comparison.f2, square.apex.two_cells),
+        )
     )
-
-
-def _is_bijection(mapping, codomain):
-    values = set(mapping.values())
-    return len(values) == len(mapping) and values == set(codomain)
 
 
 def covering_oracle(fun):

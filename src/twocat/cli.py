@@ -2,7 +2,9 @@
 edm-cover, gallery, iso.
 
 Documents are JSON files; ``-`` reads stdin.  Exit codes: 0 success,
-1 check failure, 2 malformed input, 3 search or budget cap exceeded.
+1 check failure (including law-breaking input that ``reflect`` and
+``factor`` cannot build on), 2 malformed input, 3 search or budget cap
+exceeded.
 """
 
 import argparse
@@ -19,7 +21,13 @@ from .core import (
     validate_two_category,
     validate_two_functor,
 )
-from .errors import BudgetExceeded, MalformedData, SearchCapExceeded, TwoCatError
+from .errors import (
+    BudgetExceeded,
+    LawViolation,
+    MalformedData,
+    SearchCapExceeded,
+    TwoCatError,
+)
 from .factorize import monotone_light_factor, reflective_factor, verify_factorization
 from .limits import pullback
 from .reflection import reflect
@@ -250,6 +258,9 @@ def main(argv=None):
     except (SearchCapExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except LawViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (MalformedData, TwoCatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -8,9 +8,9 @@ are immutable after construction and every operation is a pure function.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
 
 from .errors import (
+    LawViolation,
     MalformedData,
     MismatchedBoundary,
     SearchCapExceeded,
@@ -32,30 +32,13 @@ LAW_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class TwoCategory:
-    """Finite 2-category given by carriers and total composition tables.
+class _Carriers:
+    """Boundary accessors and derived pair sets of explicit finite carriers.
 
     ``one_cells`` maps a 1-cell id to its ``(dom, cod)`` objects;
-    ``two_cells`` maps a 2-cell id to its ``(vdom, vcod)`` 1-cells.  The
-    composition tables are keyed ``(g, f)`` meaning "g after f": 1-cell
-    pairs with ``dom(g) == cod(f)``, vertical pairs with
-    ``vdom(g) == vcod(f)``, horizontal pairs with ``hdom(g) == hcod(f)``.
-
-    Instances are treated as immutable; operations always build new values.
-    Nothing here enforces the algebraic laws -- see
-    :func:`validate_two_category`.  A value of this type whose laws are not
-    known to hold is referred to as a relaxed structure.
+    ``two_cells`` maps a 2-cell id to its ``(vdom, vcod)`` 1-cells.  Pairs
+    ``(g, f)`` mean "g after f".
     """
-
-    objects: frozenset
-    one_cells: dict
-    one_identity: dict
-    one_compose: dict
-    two_cells: dict
-    two_identity: dict
-    vert_compose: dict
-    horiz_compose: dict
 
     def __post_init__(self):
         object.__setattr__(self, "objects", frozenset(self.objects))
@@ -133,31 +116,23 @@ class TwoCategory:
 
     @cached_property
     def _ones_by_dom(self):
-        index = {}
-        for u in sorted(self.one_cells):
-            index.setdefault(self.dom(u), []).append(u)
-        return index
+        return _group(self.one_cells, self.dom)
+
+    @cached_property
+    def _ones_by_ends(self):
+        return _group(self.one_cells, self.one_cells.__getitem__)
 
     @cached_property
     def _twos_by_vdom(self):
-        index = {}
-        for t in sorted(self.two_cells):
-            index.setdefault(self.vdom(t), []).append(t)
-        return index
+        return _group(self.two_cells, self.vdom)
 
     @cached_property
     def _twos_by_hdom(self):
-        index = {}
-        for t in sorted(self.two_cells):
-            index.setdefault(self.hdom(t), []).append(t)
-        return index
+        return _group(self.two_cells, self.hdom)
 
     @cached_property
     def _hom_index(self):
-        index = {}
-        for t in sorted(self.two_cells):
-            index.setdefault(self.two_cells[t], []).append(t)
-        return index
+        return _group(self.two_cells, self.two_cells.__getitem__)
 
     def hom(self, h, k):
         """The 2-cells from ``h`` to ``k``, in identifier order."""
@@ -167,8 +142,48 @@ class TwoCategory:
         return len(self.objects), len(self.one_cells), len(self.two_cells)
 
 
-#: A 2-category-shaped value whose laws may fail; checked by AxiomReport.
-RelaxedTwoCategory = TwoCategory
+def _group(cells, key):
+    """``cells`` grouped by ``key``, each group in identifier order."""
+    index = {}
+    for cell in sorted(cells):
+        index.setdefault(key(cell), []).append(cell)
+    return index
+
+
+@dataclass(frozen=True)
+class TwoReflexiveGraph(_Carriers):
+    """Carriers with boundary and identity maps only, no composition."""
+
+    objects: frozenset
+    one_cells: dict
+    one_identity: dict
+    two_cells: dict
+    two_identity: dict
+
+
+@dataclass(frozen=True)
+class TwoCategory(_Carriers):
+    """Finite 2-category given by carriers and total composition tables.
+
+    The carriers are those of :class:`TwoReflexiveGraph`.  The composition
+    tables are keyed ``(g, f)`` meaning "g after f": 1-cell pairs with
+    ``dom(g) == cod(f)``, vertical pairs with ``vdom(g) == vcod(f)``,
+    horizontal pairs with ``hdom(g) == hcod(f)``.
+
+    Instances are treated as immutable; operations always build new values.
+    Nothing here enforces the algebraic laws -- see
+    :func:`validate_two_category`.  A value of this type whose laws are not
+    known to hold is referred to as a relaxed structure.
+    """
+
+    objects: frozenset
+    one_cells: dict
+    one_identity: dict
+    one_compose: dict
+    two_cells: dict
+    two_identity: dict
+    vert_compose: dict
+    horiz_compose: dict
 
 
 @dataclass(frozen=True)
@@ -322,6 +337,33 @@ def build_two_category(
     )
 
 
+def assemble_two_category(graph, one_rule, vert_rule, horiz_rule):
+    """The 2-category on the carriers of ``graph`` whose tables follow rules.
+
+    ``graph`` is a :class:`TwoReflexiveGraph`.  Each rule maps a composable
+    pair ``(g, f)`` of its table to the composite; the pairs are derived
+    from the boundaries.  A composite that is not a cell breaks the boundary
+    law, and :class:`LawViolation` names the least such pair.
+    """
+
+    def table(pairs, rule, cells):
+        out = {pair: rule(pair) for pair in pairs}
+        if not cells.keys() >= set(out.values()):
+            raise LawViolation("boundary", min(p for p, v in out.items() if v not in cells))
+        return out
+
+    return TwoCategory(
+        objects=graph.objects,
+        one_cells=graph.one_cells,
+        one_identity=graph.one_identity,
+        one_compose=table(graph.one_pairs(), one_rule, graph.one_cells),
+        two_cells=graph.two_cells,
+        two_identity=graph.two_identity,
+        vert_compose=table(graph.vert_pairs(), vert_rule, graph.two_cells),
+        horiz_compose=table(graph.horiz_pairs(), horiz_rule, graph.two_cells),
+    )
+
+
 # ---------------------------------------------------------------------------
 # well-formedness
 # ---------------------------------------------------------------------------
@@ -422,9 +464,9 @@ def validate_two_category(cat):
                     break
 
     _unit_laws(cat, ex)
-    _assoc_law(cat, cat.one_cells, cat.one_compose, _one_comp_key(cat), "1-assoc", ex)
-    _assoc_law(cat, cat.two_cells, cat.vert_compose, _vert_comp_key(cat), "v-assoc", ex)
-    _assoc_law(cat, cat.two_cells, cat.horiz_compose, _horiz_comp_key(cat), "h-assoc", ex)
+    _assoc_law(cat.one_cells, cat.one_compose, "1-assoc", ex)
+    _assoc_law(cat.two_cells, cat.vert_compose, "v-assoc", ex)
+    _assoc_law(cat.two_cells, cat.horiz_compose, "h-assoc", ex)
 
     # horizontal composite of vertical identities
     for k, h in cat.one_pairs():
@@ -435,27 +477,6 @@ def validate_two_category(cat):
 
     _interchange_law(cat, ex)
     return AxiomReport(failures)
-
-
-def _one_comp_key(cat):
-    def key(g, f):
-        return (g, f) if cat.dom(g) == cat.cod(f) else None
-
-    return key
-
-
-def _vert_comp_key(cat):
-    def key(g, f):
-        return (g, f) if cat.vdom(g) == cat.vcod(f) else None
-
-    return key
-
-
-def _horiz_comp_key(cat):
-    def key(g, f):
-        return (g, f) if cat.hdom(g) == cat.hcod(f) else None
-
-    return key
 
 
 def _unit_laws(cat, ex):
@@ -495,8 +516,10 @@ def _unit_laws(cat, ex):
             break
 
 
-def _assoc_law(cat, carrier, table, comp_key, law, ex):
-    # c-major iteration makes the first hit the least (c, b, a) tuple
+def _assoc_law(carrier, table, law, ex):
+    # c-major iteration makes the first hit the least (c, b, a) tuple; the
+    # table's keys are exactly the composable pairs, so a missing key is a
+    # composite with a corrupt boundary, which the boundary law reports
     by_key = {}
     for (g, f) in table:
         by_key.setdefault(g, []).append(f)
@@ -505,10 +528,9 @@ def _assoc_law(cat, carrier, table, comp_key, law, ex):
             cb = table[(c, b)]
             for a in sorted(by_key.get(b, ())):
                 ba = table[(b, a)]
-                lhs = table.get(comp_key(c, ba)) if comp_key(c, ba) else None
-                rhs = table.get(comp_key(cb, a)) if comp_key(cb, a) else None
+                lhs = table.get((c, ba))
+                rhs = table.get((cb, a))
                 if lhs is None or rhs is None:
-                    # boundary corruption; flagged by the boundary law
                     continue
                 if lhs != rhs:
                     ex(law, c, b, a)
@@ -589,6 +611,27 @@ def _check_map_total(mapping, domain, codomain, name):
     for key, value in mapping.items():
         if value not in codomain:
             raise MalformedData(f"{name}[{key!r}] = {value!r} is not in the target")
+
+
+def _bijectivity_witness(mapping, codomain):
+    """Least witness that a carrier map is not a bijection, else ``None``.
+
+    The witness is the least colliding pair of keys, or else the least
+    element of ``codomain`` that is not hit.
+    """
+    images = set(mapping.values())
+    if len(images) == len(mapping) and images == set(codomain):
+        return None
+    images = {}
+    for key in sorted(mapping):
+        value = mapping[key]
+        if value in images:
+            return (images[value], key)
+        images[value] = key
+    unhit = sorted(set(codomain) - set(images))
+    if unhit:
+        return (unhit[0],)
+    return None
 
 
 def vertical_hom(cat, h, k):
@@ -728,153 +771,124 @@ def enumerate_two_functors(source, target, *, bijective=False):
     """Yield every valid 2-functor ``source -> target``.
 
     Backtracking assigns objects, then non-identity 1-cells, then
-    non-identity 2-cells, pruning with the boundary maps and checking each
-    composition-table row as soon as all of its cells are assigned.  With
-    ``bijective=True`` only levelwise bijections are produced.  Output order
-    is deterministic (identifier order at every choice point).
+    non-identity 2-cells, pruning with the boundary maps.  The identity
+    cells of a level are filled in when the level opens, and each
+    composition-table row is checked as soon as all of its cells are
+    assigned.  With ``bijective=True`` only levelwise bijections are
+    produced.  Output order is deterministic (identifier order at every
+    choice point).  The search keeps its own stack, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     if bijective and source.carrier_sizes() != target.carrier_sizes():
         return
-
-    src_objs = sorted(source.objects)
-    tgt_objs = sorted(target.objects)
-    one_ids = set(source.one_identity.values())
-    two_ids = set(source.two_identity.values())
-    free_ones = [u for u in sorted(source.one_cells) if u not in one_ids]
-    free_twos = [t for t in sorted(source.two_cells) if t not in two_ids]
-
-    one_rows = [(g, f, v) for (g, f), v in sorted(source.one_compose.items())]
-    one_watch = _watch_index(one_rows)
-    two_rows = [
-        (g, f, v, True) for (g, f), v in sorted(source.vert_compose.items())
-    ] + [(g, f, v, False) for (g, f), v in sorted(source.horiz_compose.items())]
-    two_watch = _watch_index((g, f, v) for (g, f, v, _) in two_rows)
-
-    for f0_choice in _object_maps(src_objs, tgt_objs, bijective):
-        f0 = dict(zip(src_objs, f0_choice))
-        f1 = {}
-        ok = True
-        for x in src_objs:
-            cell = source.one_identity[x]
-            image = target.one_identity[f0[x]]
-            if cell in f1 and f1[cell] != image:
-                ok = False
-                break
-            f1[cell] = image
-        if not ok or (bijective and len(set(f1.values())) != len(f1)):
-            continue
-        yield from _assign_ones(
-            source, target, f0, f1, free_ones, 0, one_rows, one_watch,
-            two_rows, two_watch, free_twos, bijective,
-        )
-
-
-def _object_maps(src_objs, tgt_objs, bijective):
-    if not src_objs:
-        yield ()
-        return
-    if bijective:
-        from itertools import permutations
-
-        yield from permutations(tgt_objs, len(src_objs))
-    else:
-        yield from iproduct(tgt_objs, repeat=len(src_objs))
-
-
-def _watch_index(rows):
-    index = {}
-    for pos, (g, f, v) in enumerate(rows):
-        for cell in {g, f, v}:
-            index.setdefault(cell, []).append(pos)
-    return index
-
-
-def _row_ok(rows, pos, assignment, table):
-    g, f, v = rows[pos][0], rows[pos][1], rows[pos][2]
-    ig, iff, iv = assignment.get(g), assignment.get(f), assignment.get(v)
-    if ig is None or iff is None or iv is None:
-        return True
-    return table.get((ig, iff)) == iv
-
-
-def _assign_ones(source, target, f0, f1, free_ones, depth, one_rows, one_watch,
-                 two_rows, two_watch, free_twos, bijective):
-    if depth == len(free_ones):
-        for pos in range(len(one_rows)):
-            if not _row_ok(one_rows, pos, f1, target.one_compose):
-                return
-        yield from _start_twos(
-            source, target, f0, f1, two_rows, two_watch, free_twos, bijective
-        )
-        return
-    cell = free_ones[depth]
-    want = (f0[source.dom(cell)], f0[source.cod(cell)])
-    used = set(f1.values()) if bijective else ()
-    for image in sorted(target.one_cells):
-        if target.one_cells[image] != want:
-            continue
-        if bijective and image in used:
-            continue
-        f1[cell] = image
-        if all(
-            _row_ok(one_rows, pos, f1, target.one_compose)
-            for pos in one_watch.get(cell, ())
-        ):
-            yield from _assign_ones(
-                source, target, f0, f1, free_ones, depth + 1, one_rows,
-                one_watch, two_rows, two_watch, free_twos, bijective,
-            )
-        del f1[cell]
-
-
-def _start_twos(source, target, f0, f1, two_rows, two_watch, free_twos, bijective):
-    f2 = {}
-    for h in sorted(source.one_cells):
-        cell = source.two_identity[h]
-        image = target.two_identity[f1[h]]
-        if cell in f2 and f2[cell] != image:
-            return
-        f2[cell] = image
-    if bijective and len(set(f2.values())) != len(f2):
-        return
-    yield from _assign_twos(
-        source, target, f0, f1, f2, free_twos, 0, two_rows, two_watch, bijective
+    src, tgt = source, target
+    maps = ({}, {}, {})
+    used = [set(), set(), set()]
+    # per level, each identity cell with the cell below it that it is on
+    identities = (
+        (),
+        [(src.one_identity[x], x) for x in sorted(src.objects)],
+        [(src.two_identity[h], h) for h in sorted(src.one_cells)],
     )
+    target_identity = (None, tgt.one_identity, tgt.two_identity)
+    pools = (None, tgt._ones_by_ends, tgt._hom_index)
+    tgt_objects = sorted(tgt.objects)
 
+    # one slot per free cell: (level, cell, boundary), in identifier order;
+    # a level opens at the depth of its first slot
+    slots = [(0, x, None) for x in sorted(src.objects)]
+    opening = {}
+    for level, cells, fixed in (
+        (1, src.one_cells, set(src.one_identity.values())),
+        (2, src.two_cells, set(src.two_identity.values())),
+    ):
+        opening.setdefault(len(slots), []).append(level)
+        slots += [(level, c, cells[c]) for c in sorted(cells) if c not in fixed]
 
-def _two_row_ok(source, target, row, f2):
-    g, f, v, vertical = row
-    ig, iff, iv = f2.get(g), f2.get(f), f2.get(v)
-    if ig is None or iff is None or iv is None:
+    # watch index: each row is checked at the slot that completes it, or
+    # when its level opens if all of its cells are identities
+    slot_of = ({}, {}, {})
+    for depth, (level, cell, _) in enumerate(slots):
+        slot_of[level][cell] = depth
+    checks = [[] for _ in slots]
+    on_open = ([], [], [])
+    for level, table, image in (
+        (1, src.one_compose, tgt.one_compose),
+        (2, src.vert_compose, tgt.vert_compose),
+        (2, src.horiz_compose, tgt.horiz_compose),
+    ):
+        where = slot_of[level]
+        for (g, f), v in table.items():
+            at = max(where.get(g, -1), where.get(f, -1), where.get(v, -1))
+            row = (maps[level], image, g, f, v)
+            (checks[at] if at >= 0 else on_open[level]).append(row)
+
+    def rows_hold(rows):
+        for m, image, g, f, v in rows:
+            if image.get((m[g], m[f])) != m[v]:
+                return False
         return True
-    table = target.vert_compose if vertical else target.horiz_compose
-    return table.get((ig, iff)) == iv
 
+    def arrive(depth):
+        """Open the levels whose free cells start at ``depth``."""
+        for level in opening.get(depth, ()):
+            m, below, ids = maps[level], maps[level - 1], target_identity[level]
+            m.clear()
+            for cell, under in identities[level]:
+                image = ids[below[under]]
+                if m.setdefault(cell, image) != image:
+                    return False
+            if bijective:
+                used[level] = set(m.values())
+                if len(used[level]) != len(m):
+                    return False
+            if not rows_hold(on_open[level]):
+                return False
+        return True
 
-def _assign_twos(source, target, f0, f1, f2, free_twos, depth, two_rows,
-                 two_watch, bijective):
-    if depth == len(free_twos):
-        if all(_two_row_ok(source, target, row, f2) for row in two_rows):
-            yield TwoFunctor(
-                source=source, target=target, f0=dict(f0), f1=dict(f1), f2=dict(f2)
-            )
+    def pool(depth):
+        level, _, ends = slots[depth]
+        if level == 0:
+            return iter(tgt_objects)
+        below = maps[level - 1]
+        return iter(pools[level].get((below[ends[0]], below[ends[1]]), ()))
+
+    def functor():
+        return TwoFunctor(
+            source=source, target=target,
+            f0=dict(maps[0]), f1=dict(maps[1]), f2=dict(maps[2]),
+        )
+
+    if not arrive(0):
         return
-    cell = free_twos[depth]
-    want = (f1[source.vdom(cell)], f1[source.vcod(cell)])
-    used = set(f2.values()) if bijective else ()
-    for image in target.hom(*want):
-        if bijective and image in used:
+    if not slots:
+        yield functor()
+        return
+    stack = [pool(0)]
+    chosen = [None] * len(slots)
+    while stack:
+        depth = len(stack) - 1
+        level, cell, _ = slots[depth]
+        m = maps[level]
+        if bijective:
+            used[level].discard(chosen[depth])
+        for image in stack[-1]:
+            if bijective and image in used[level]:
+                continue
+            m[cell] = image
+            if rows_hold(checks[depth]) and arrive(depth + 1):
+                break
+        else:
+            chosen[depth] = None
+            stack.pop()
             continue
-        f2[cell] = image
-        if all(
-            _two_row_ok(source, target, two_rows[pos], f2)
-            for pos in two_watch.get(cell, ())
-        ):
-            yield from _assign_twos(
-                source, target, f0, f1, f2, free_twos, depth + 1, two_rows,
-                two_watch, bijective,
-            )
-        del f2[cell]
+        if bijective:
+            used[level].add(image)
+            chosen[depth] = image
+        if depth + 1 == len(slots):
+            yield functor()
+        else:
+            stack.append(pool(depth + 1))
 
 
 def find_isomorphism(a, b, caps=DEFAULT_CAPS):

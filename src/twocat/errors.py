@@ -31,3 +31,16 @@ class BudgetExceeded(TwoCatError):
 
 class CyclicPresentation(TwoCatError):
     """A free construction needs an acyclic generating graph."""
+
+
+class LawViolation(TwoCatError):
+    """A construction met composites that break a 2-category law.
+
+    ``law`` is a name from ``LAW_NAMES`` and ``cells`` the least pair of
+    cells at which the construction found it broken.
+    """
+
+    def __init__(self, law, cells):
+        super().__init__(f"{law} law fails at ({', '.join(map(str, cells))})")
+        self.law = law
+        self.cells = tuple(cells)

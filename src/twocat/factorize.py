@@ -19,12 +19,14 @@ from .classify import (
 from .core import (
     TwoCategory,
     TwoFunctor,
+    TwoReflexiveGraph,
+    assemble_two_category,
     compose_two_functors,
     functors_equal,
     validate_two_category,
     validate_two_functor,
 )
-from .limits import pair_into_pullback, pullback
+from .limits import encoder, pair_into_pullback, pullback
 from .reflection import reflect, reflect_functor
 
 
@@ -58,83 +60,52 @@ def reflective_factor(fun):
     )
 
 
-def _tag(h, k, b):
-    return f"({h}=>{k}|{b})"
-
-
 def monotone_light_factor(fun):
     """Factor ``fun`` through the per-hom image of its 2-cell map.
 
     The middle object has the source's objects and 1-cells; between a
-    parallel pair ``(h, k)`` it carries one 2-cell per target cell hit by
-    the source hom, tagged with the pair so that the second leg stays
-    faithful.  Compositions are induced from the target; the induced value
-    is asserted to land in the tagged image again.
+    parallel pair ``(h, k)`` it carries one 2-cell ``(h=>k|b)`` per target
+    cell ``b`` hit by the source hom, so that the second leg stays faithful.
+    Compositions are induced from the target.  An induced composite outside
+    the tagged image (law-breaking input) raises :class:`LawViolation`.
     """
     src, tgt = fun.source, fun.target
+    tagged = {t: (*src.two_cells[t], fun.f2[t]) for t in sorted(src.two_cells)}
+    _, (cells,) = encoder([list(dict.fromkeys(tagged.values()))], arity=3)
+    name = {tag: n for n, tag in cells.items()}
 
-    two_cells = {}
-    components = {}
-    for t in sorted(src.two_cells):
-        h, k = src.two_cells[t]
-        name = _tag(h, k, fun.f2[t])
-        two_cells[name] = (h, k)
-        components[name] = fun.f2[t]
+    def vert(key):
+        (_, k, b), (h, _, a) = cells[key[0]], cells[key[1]]
+        return name.get((h, k, tgt.vert_compose.get((b, a))))
 
-    two_identity = {
-        h: _tag(h, h, fun.f2[src.two_identity[h]]) for h in src.one_cells
-    }
+    def horiz(key):
+        (hb, kb, b), (ha, ka, a) = cells[key[0]], cells[key[1]]
+        composite = tgt.horiz_compose.get((b, a))
+        return name.get((src.one_compose[(hb, ha)], src.one_compose[(kb, ka)], composite))
 
-    middle = TwoCategory(
+    graph = TwoReflexiveGraph(
         objects=src.objects,
         one_cells=dict(src.one_cells),
         one_identity=dict(src.one_identity),
-        one_compose=dict(src.one_compose),
-        two_cells=two_cells,
-        two_identity=two_identity,
-        vert_compose={},
-        horiz_compose={},
+        two_cells={n: (h, k) for n, (h, k, _) in cells.items()},
+        two_identity={
+            h: name[(h, h, fun.f2[src.two_identity[h]])] for h in src.one_cells
+        },
     )
-    vert_compose = {}
-    for b, a in middle.vert_pairs():
-        value = tgt.vert_compose[(components[b], components[a])]
-        name = _tag(middle.vdom(a), middle.vcod(b), value)
-        assert name in two_cells
-        vert_compose[(b, a)] = name
-    horiz_compose = {}
-    for b, a in middle.horiz_pairs():
-        value = tgt.horiz_compose[(components[b], components[a])]
-        name = _tag(
-            src.one_compose[(middle.vdom(b), middle.vdom(a))],
-            src.one_compose[(middle.vcod(b), middle.vcod(a))],
-            value,
-        )
-        assert name in two_cells
-        horiz_compose[(b, a)] = name
-    middle = TwoCategory(
-        objects=src.objects,
-        one_cells=dict(src.one_cells),
-        one_identity=dict(src.one_identity),
-        one_compose=dict(src.one_compose),
-        two_cells=two_cells,
-        two_identity=two_identity,
-        vert_compose=vert_compose,
-        horiz_compose=horiz_compose,
-    )
-
+    middle = assemble_two_category(graph, src.one_compose.get, vert, horiz)
     e = TwoFunctor(
         source=src,
         target=middle,
         f0={x: x for x in src.objects},
         f1={u: u for u in src.one_cells},
-        f2={t: _tag(*src.two_cells[t], fun.f2[t]) for t in src.two_cells},
+        f2={t: name[tagged[t]] for t in src.two_cells},
     )
     m = TwoFunctor(
         source=middle,
         target=tgt,
         f0=dict(fun.f0),
         f1=dict(fun.f1),
-        f2=dict(components),
+        f2={n: b for n, (_, _, b) in cells.items()},
     )
     return MLFactorization(
         e=e,

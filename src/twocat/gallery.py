@@ -4,8 +4,9 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    TwoCategory,
     TwoFunctor,
+    TwoReflexiveGraph,
+    assemble_two_category,
     build_two_category,
     coproduct,
     copair,
@@ -146,15 +147,6 @@ def _free_two_preorder_with_meta(presentation):
         one_meta[pid] = path
     one_identity = {obj: f"id:{obj}" for obj in presentation.objects}
 
-    one_compose = {}
-    for g_start, g_path in raw_paths:
-        for f_start, f_path in raw_paths:
-            if ends[(f_start, f_path)] == g_start:
-                composite = (f_start, f_path + g_path)
-                one_compose[
-                    (pid_of[(g_start, g_path)], pid_of[(f_start, f_path)])
-                ] = pid_of[composite]
-
     two_cells = {}
     two_meta = {}
     for start, path in raw_paths:
@@ -168,39 +160,31 @@ def _free_two_preorder_with_meta(presentation):
         pid_of[(start, path)]: f"vid:{pid_of[(start, path)]}"
         for start, path in raw_paths
     }
-
     cell_by_boundary = {bounds: cid for cid, bounds in two_cells.items()}
 
-    skeleton = TwoCategory(
-        objects=frozenset(presentation.objects),
+    graph = TwoReflexiveGraph(
+        objects=presentation.objects,
         one_cells=one_cells,
         one_identity=one_identity,
-        one_compose=one_compose,
         two_cells=two_cells,
         two_identity=two_identity,
-        vert_compose={},
-        horiz_compose={},
     )
-    vert_compose = {}
-    for b, a in skeleton.vert_pairs():
-        key = (two_cells[a][0], two_cells[b][1])
-        vert_compose[(b, a)] = cell_by_boundary[key]
-    horiz_compose = {}
-    for b, a in skeleton.horiz_pairs():
-        lower = one_compose[(two_cells[b][0], two_cells[a][0])]
-        upper = one_compose[(two_cells[b][1], two_cells[a][1])]
-        horiz_compose[(b, a)] = cell_by_boundary[(lower, upper)]
+    # a composite path is the concatenation; a composite 2-cell is the one
+    # between the composite boundaries
+    one_compose = {
+        (g, f): pid_of[(one_cells[f][0], one_meta[f] + one_meta[g])]
+        for g, f in graph.one_pairs()
+    }
 
-    cat = TwoCategory(
-        objects=frozenset(presentation.objects),
-        one_cells=one_cells,
-        one_identity=one_identity,
-        one_compose=one_compose,
-        two_cells=two_cells,
-        two_identity=two_identity,
-        vert_compose=vert_compose,
-        horiz_compose=horiz_compose,
-    )
+    def vert(key):
+        return cell_by_boundary.get((two_cells[key[1]][0], two_cells[key[0]][1]))
+
+    def horiz(key):
+        (lower_b, upper_b), (lower_a, upper_a) = two_cells[key[0]], two_cells[key[1]]
+        bounds = (one_compose[(lower_b, lower_a)], one_compose[(upper_b, upper_a)])
+        return cell_by_boundary.get(bounds)
+
+    cat = assemble_two_category(graph, one_compose.get, vert, horiz)
     return cat, one_meta, two_meta
 
 
@@ -293,31 +277,34 @@ def _collapsed_h4(extra_cell):
     is exactly what breaks horizontal associativity.
     """
     objects = tuple(str(i) for i in range(4))
-    one_cells = {}
+    one_cells = {f"id:{x}": (x, x) for x in objects}
     for i, j in _SPANS:
         one_cells[f"t{i}{j}"] = (str(i), str(j))
         one_cells[f"b{i}{j}"] = (str(i), str(j))
-
-    def label(cell):
-        return cell[0]
-
-    one_compose = {}
-    for g, (gd, gc) in one_cells.items():
-        for f, (fd, fc) in one_cells.items():
-            if fc == gd:
-                mark = "t" if label(g) == "t" and label(f) == "t" else "b"
-                one_compose[(g, f)] = f"{mark}{fd}{gc}"
-
-    two_cells = {f"a{i}{j}": (f"t{i}{j}", f"b{i}{j}") for i, j in _SPANS}
+    two_cells = {f"vid:{u}": (u, u) for u in one_cells}
+    two_cells.update({f"a{i}{j}": (f"t{i}{j}", f"b{i}{j}") for i, j in _SPANS})
     if extra_cell:
         two_cells["a03x"] = ("t03", "b03")
-
-    skeleton = build_two_category(
+    graph = TwoReflexiveGraph(
         objects=objects,
         one_cells=one_cells,
-        one_compose=one_compose,
+        one_identity={x: f"id:{x}" for x in objects},
         two_cells=two_cells,
+        two_identity={u: f"vid:{u}" for u in one_cells},
     )
+
+    def compose1(key):
+        g, f = key
+        if g.startswith("id:"):
+            return f
+        if f.startswith("id:"):
+            return g
+        mark = "t" if g[0] == "t" and f[0] == "t" else "b"
+        return f"{mark}{graph.dom(f)}{graph.cod(g)}"
+
+    def vert(key):
+        b, a = key
+        return a if b.startswith("vid:") else b
 
     named_pastings = {
         ("a12", "a01"): "a02",
@@ -325,44 +312,31 @@ def _collapsed_h4(extra_cell):
         ("a23", "a02"): "a03",
         ("a13", "a01"): "a03x" if extra_cell else "a03",
     }
-    he_cells = {
-        skeleton.two_identity[skeleton.one_identity[x]] for x in skeleton.objects
-    }
+    he_cells = {f"vid:id:{x}" for x in objects}
     by_boundary = {}
-    for cid, bounds in skeleton.two_cells.items():
+    for cid, bounds in two_cells.items():
         by_boundary.setdefault(bounds, []).append(cid)
 
-    horiz = {}
-    for b, a in skeleton.horiz_pairs():
+    def horiz(key):
+        b, a = key
         if a in he_cells:
-            horiz[(b, a)] = b
-        elif b in he_cells:
-            horiz[(b, a)] = a
-        elif (b, a) in named_pastings:
-            horiz[(b, a)] = named_pastings[(b, a)]
-        else:
-            bounds = (
-                skeleton.one_compose[(skeleton.vdom(b), skeleton.vdom(a))],
-                skeleton.one_compose[(skeleton.vcod(b), skeleton.vcod(a))],
-            )
-            candidates = by_boundary[bounds]
-            if len(candidates) == 1:
-                horiz[(b, a)] = candidates[0]
-            else:
-                # whiskers of the ambiguous full span must follow their
-                # split point, or the interchange law would break too
-                horiz[(b, a)] = "a03x" if skeleton.hcod(a) == "1" else "a03"
+            return b
+        if b in he_cells:
+            return a
+        if key in named_pastings:
+            return named_pastings[key]
+        bounds = (
+            compose1((graph.vdom(b), graph.vdom(a))),
+            compose1((graph.vcod(b), graph.vcod(a))),
+        )
+        candidates = by_boundary[bounds]
+        if len(candidates) == 1:
+            return candidates[0]
+        # whiskers of the ambiguous full span must follow their split
+        # point, or the interchange law would break too
+        return "a03x" if graph.hcod(a) == "1" else "a03"
 
-    return build_two_category(
-        objects=objects,
-        one_cells=one_cells,
-        one_identity=dict(skeleton.one_identity),
-        one_compose=one_compose,
-        two_cells=two_cells,
-        two_identity=dict(skeleton.two_identity),
-        vert_compose=dict(skeleton.vert_compose),
-        horiz_compose=horiz,
-    )
+    return assemble_two_category(graph, compose1, vert, horiz)
 
 
 def make_h4_na():

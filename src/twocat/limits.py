@@ -1,14 +1,17 @@
 """Pointwise finite limits: pullbacks, binary products, the terminal object.
 
-Apex cells are canonical pair encodings ``(x|y)`` of the input identifiers,
+Apex cells are canonical pair encodings ``(x|y)`` of the input identifiers
+(escaped where plain names would collide, see :func:`encoder`),
 so results are deterministic and counterexamples stay readable.  The same
 componentwise construction serves both law-abiding inputs and relaxed
 structures; only the expectations on the result differ.
 """
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import TwoCategory, TwoFunctor
+from .core import TwoCategory, TwoFunctor, TwoReflexiveGraph, assemble_two_category
 from .errors import MalformedData, MismatchedTarget
 
 
@@ -17,6 +20,17 @@ class PullbackResult:
     apex: TwoCategory
     proj1: TwoFunctor
     proj2: TwoFunctor
+
+    @cached_property
+    def names(self):
+        """Per level, the apex cell over each pair: the projections inverted."""
+        return [
+            {(p1[n], p2[n]): n for n in p1}
+            for p1, p2 in zip(
+                (self.proj1.f0, self.proj1.f1, self.proj1.f2),
+                (self.proj2.f0, self.proj2.f1, self.proj2.f2),
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -33,8 +47,80 @@ class FiniteSquare:
     g: dict
 
 
-def _pair(x, y):
-    return f"({x}|{y})"
+_DELIMITER = re.compile(r"[\\()|]|=>")
+
+#: Plain names by number of parts: a pair, or a parallel pair tagged with a cell.
+_PLAIN = {2: lambda x, y: f"({x}|{y})", 3: lambda h, k, b: f"({h}=>{k}|{b})"}
+
+
+def encoder(levels, arity=2):
+    """Names for the tuples on each level: ``(x|y)``, or ``(h=>k|b)`` for arity 3.
+
+    Returns the encoding and, per level, a map from each name to its tuple.
+    Parts render as they are unless that gives two tuples of one level the
+    same name; then every name is encoded again with ``\\``, ``(``, ``)``,
+    ``|`` and ``=>`` backslash-escaped inside each part, which is injective.
+    """
+    plain = _PLAIN[arity]
+
+    def escaped(*parts):
+        return plain(*(_DELIMITER.sub(r"\\\g<0>", str(p)) for p in parts))
+
+    for encode in (plain, escaped):
+        named = [{encode(*cells): cells for cells in level} for level in levels]
+        if all(len(names) == len(level) for names, level in zip(named, levels)):
+            break
+    return encode, named
+
+
+def _fiber(xs, ys, f, g):
+    """The pairs ``(x, y)`` with ``f[x] == g[y]``, in the order of ``xs`` then ``ys``."""
+    by_image = {}
+    for y in ys:
+        by_image.setdefault(g[y], []).append(y)
+    return [(x, y) for x in xs for y in by_image.get(f[x], ())]
+
+
+def fiber_product(a, c, f, g):
+    """Carrier-level fiber product of maps ``f: a -> z <- c: g`` of carriers.
+
+    ``a`` and ``c`` are 2-reflexive graphs or 2-categories, and ``f`` and
+    ``g`` their ``(f0, f1, f2)`` carrier maps.  Returns the apex as a
+    :class:`TwoReflexiveGraph`, its pair maps (per level, apex cell ->
+    ``(x, y)``) and the encoding that named the cells.
+    """
+    levels = [
+        _fiber(sorted(xs), sorted(ys), fm, gm)
+        for xs, ys, fm, gm in zip(
+            (a.objects, a.one_cells, a.two_cells), (c.objects, c.one_cells, c.two_cells), f, g
+        )
+    ]
+    name, pairs = encoder(levels)
+    objs, ones, twos = pairs
+    one_cells, two_identity = {}, {}
+    for n, (u, w) in ones.items():
+        (du, cu), (dw, cw) = a.one_cells[u], c.one_cells[w]
+        one_cells[n] = (name(du, dw), name(cu, cw))
+        two_identity[n] = name(a.two_identity[u], c.two_identity[w])
+    two_cells = {}
+    for n, (s, t) in twos.items():
+        (ds, cs), (dt, ct) = a.two_cells[s], c.two_cells[t]
+        two_cells[n] = (name(ds, dt), name(cs, ct))
+    apex = TwoReflexiveGraph(
+        objects=objs,
+        one_cells=one_cells,
+        one_identity={
+            n: name(a.one_identity[x], c.one_identity[y]) for n, (x, y) in objs.items()
+        },
+        two_cells=two_cells,
+        two_identity=two_identity,
+    )
+    return apex, pairs, name
+
+
+def projections(pairs, side):
+    """The carrier maps of one projection out of a fiber product's pair maps."""
+    return [{n: pair[side] for n, pair in level.items()} for level in pairs]
 
 
 def pullback(f, g):
@@ -47,122 +133,46 @@ def pullback(f, g):
     if f.target != g.target:
         raise MismatchedTarget("pullback needs morphisms into the same 2-category")
     a, c = f.source, g.source
+    graph, pairs, name = fiber_product(a, c, (f.f0, f.f1, f.f2), (g.f0, g.f1, g.f2))
 
-    objects = []
-    obj_pairs = {}
-    for x in sorted(a.objects):
-        for y in sorted(c.objects):
-            if f.f0[x] == g.f0[y]:
-                name = _pair(x, y)
-                objects.append(name)
-                obj_pairs[name] = (x, y)
+    def componentwise(cells, table_a, table_c):
+        def rule(key):
+            (ga, gc), (fa, fc) = cells[key[0]], cells[key[1]]
+            return name(table_a[(ga, fa)], table_c[(gc, fc)])
 
-    one_cells = {}
-    one_pairs = {}
-    for u in sorted(a.one_cells):
-        for w in sorted(c.one_cells):
-            if f.f1[u] == g.f1[w]:
-                name = _pair(u, w)
-                one_cells[name] = (_pair(a.dom(u), c.dom(w)), _pair(a.cod(u), c.cod(w)))
-                one_pairs[name] = (u, w)
+        return rule
 
-    two_cells = {}
-    two_pairs = {}
-    for s in sorted(a.two_cells):
-        for t in sorted(c.two_cells):
-            if f.f2[s] == g.f2[t]:
-                name = _pair(s, t)
-                two_cells[name] = (_pair(a.vdom(s), c.vdom(t)), _pair(a.vcod(s), c.vcod(t)))
-                two_pairs[name] = (s, t)
-
-    one_identity = {
-        name: _pair(a.one_identity[x], c.one_identity[y])
-        for name, (x, y) in obj_pairs.items()
-    }
-    two_identity = {
-        name: _pair(a.two_identity[u], c.two_identity[w])
-        for name, (u, w) in one_pairs.items()
-    }
-
-    apex = TwoCategory(
-        objects=frozenset(objects),
-        one_cells=one_cells,
-        one_identity=one_identity,
-        one_compose={},
-        two_cells=two_cells,
-        two_identity=two_identity,
-        vert_compose={},
-        horiz_compose={},
+    apex = assemble_two_category(
+        graph,
+        componentwise(pairs[1], a.one_compose, c.one_compose),
+        componentwise(pairs[2], a.vert_compose, c.vert_compose),
+        componentwise(pairs[2], a.horiz_compose, c.horiz_compose),
     )
-    one_compose = {
-        (gg, ff): _pair(
-            a.one_compose[(one_pairs[gg][0], one_pairs[ff][0])],
-            c.one_compose[(one_pairs[gg][1], one_pairs[ff][1])],
-        )
-        for gg, ff in apex.one_pairs()
-    }
-    vert_compose = {
-        (b, x): _pair(
-            a.vert_compose[(two_pairs[b][0], two_pairs[x][0])],
-            c.vert_compose[(two_pairs[b][1], two_pairs[x][1])],
-        )
-        for b, x in apex.vert_pairs()
-    }
-    horiz_compose = {
-        (b, x): _pair(
-            a.horiz_compose[(two_pairs[b][0], two_pairs[x][0])],
-            c.horiz_compose[(two_pairs[b][1], two_pairs[x][1])],
-        )
-        for b, x in apex.horiz_pairs()
-    }
-    apex = TwoCategory(
-        objects=frozenset(objects),
-        one_cells=one_cells,
-        one_identity=one_identity,
-        one_compose=one_compose,
-        two_cells=two_cells,
-        two_identity=two_identity,
-        vert_compose=vert_compose,
-        horiz_compose=horiz_compose,
+    return PullbackResult(
+        apex=apex,
+        proj1=TwoFunctor(apex, a, *projections(pairs, 0)),
+        proj2=TwoFunctor(apex, c, *projections(pairs, 1)),
     )
-
-    proj1 = TwoFunctor(
-        source=apex,
-        target=a,
-        f0={name: pair[0] for name, pair in obj_pairs.items()},
-        f1={name: pair[0] for name, pair in one_pairs.items()},
-        f2={name: pair[0] for name, pair in two_pairs.items()},
-    )
-    proj2 = TwoFunctor(
-        source=apex,
-        target=c,
-        f0={name: pair[1] for name, pair in obj_pairs.items()},
-        f1={name: pair[1] for name, pair in one_pairs.items()},
-        f2={name: pair[1] for name, pair in two_pairs.items()},
-    )
-    return PullbackResult(apex=apex, proj1=proj1, proj2=proj2)
-
-
-def relaxed_pullback(f, g):
-    """Componentwise fiber product for structure-map-preserving morphisms.
-
-    No law is assumed or promised: the caller inspects the apex with an
-    axiom report afterwards.
-    """
-    return pullback(f, g)
 
 
 def pair_into_pullback(result, u, w):
     """The mediating functor of a commuting cone ``(u, w)`` over a pullback."""
     if u.source != w.source:
         raise MismatchedTarget("cone legs must share their source")
-    return TwoFunctor(
-        source=u.source,
-        target=result.apex,
-        f0={x: _pair(u.f0[x], w.f0[x]) for x in u.source.objects},
-        f1={c: _pair(u.f1[c], w.f1[c]) for c in u.source.one_cells},
-        f2={t: _pair(u.f2[t], w.f2[t]) for t in u.source.two_cells},
-    )
+    src = u.source
+    try:
+        maps = [
+            {x: names[(um[x], wm[x])] for x in carrier}
+            for names, carrier, um, wm in zip(
+                result.names,
+                (src.objects, src.one_cells, src.two_cells),
+                (u.f0, u.f1, u.f2),
+                (w.f0, w.f1, w.f2),
+            )
+        ]
+    except KeyError as exc:
+        raise MismatchedTarget(f"the cone does not commute at {exc}") from None
+    return TwoFunctor(src, result.apex, *maps)
 
 
 def terminal():
@@ -210,11 +220,6 @@ def is_pullback_square(square):
             raise MalformedData(f"apex element {w!r} maps outside the cospan feet")
         if square.f[square.p[w]] != square.g[square.q[w]]:
             return False
-    fiber = {
-        (x, y)
-        for x in square.f
-        for y in square.g
-        if square.f[x] == square.g[y]
-    }
+    fiber = set(_fiber(square.f, square.g, square.f, square.g))
     canonical = {(square.p[w], square.q[w]) for w in square.p}
     return len(canonical) == len(square.p) and canonical == fiber

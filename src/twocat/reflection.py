@@ -9,23 +9,16 @@ on 2-cells; its underlying graph morphism is bijective on objects and
 
 from dataclasses import dataclass
 
-from .core import TwoCategory, TwoFunctor, DEFAULT_CAPS, find_isomorphism
-from .errors import MismatchedTarget
-from .limits import pullback
-
-
-@dataclass(frozen=True)
-class TwoReflexiveGraph:
-    """Carriers with boundary and identity maps only, no composition."""
-
-    objects: frozenset
-    one_cells: dict
-    one_identity: dict
-    two_cells: dict
-    two_identity: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "objects", frozenset(self.objects))
+from .core import (
+    DEFAULT_CAPS,
+    TwoCategory,
+    TwoFunctor,
+    TwoReflexiveGraph,
+    _bijectivity_witness,
+    find_isomorphism,
+)
+from .errors import LawViolation, MismatchedTarget
+from .limits import fiber_product, projections, pullback
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,8 @@ def reflect(cat):
     induced tables are computed from representatives (the result is
     representative-independent because a class is determined by its
     boundary), and ``fibers`` records the partition of the original
-    2-cells.
+    2-cells.  Law-breaking input on which the induced tables are not
+    well defined raises :class:`LawViolation`.
     """
     classes = {}
     for t in sorted(cat.two_cells):
@@ -74,31 +68,15 @@ def reflect(cat):
     def cls(t):
         return name_of[cat.two_cells[t]]
 
-    two_cells = {name: boundary for boundary, name in name_of.items()}
-    two_identity = {h: cls(t) for h, t in cat.two_identity.items()}
-
-    vert_compose = {}
-    horiz_compose = {}
-    for (b, a), v in cat.vert_compose.items():
-        key = (cls(b), cls(a))
-        value = cls(v)
-        assert vert_compose.get(key, value) == value
-        vert_compose[key] = value
-    for (b, a), v in cat.horiz_compose.items():
-        key = (cls(b), cls(a))
-        value = cls(v)
-        assert horiz_compose.get(key, value) == value
-        horiz_compose[key] = value
-
     reflected = TwoCategory(
         objects=cat.objects,
         one_cells=dict(cat.one_cells),
         one_identity=dict(cat.one_identity),
         one_compose=dict(cat.one_compose),
-        two_cells=two_cells,
-        two_identity=two_identity,
-        vert_compose=vert_compose,
-        horiz_compose=horiz_compose,
+        two_cells={name: boundary for boundary, name in name_of.items()},
+        two_identity={h: cls(t) for h, t in cat.two_identity.items()},
+        vert_compose=_induced(cat.vert_compose, cls),
+        horiz_compose=_induced(cat.horiz_compose, cls),
     )
     unit = TwoFunctor(
         source=cat,
@@ -112,6 +90,27 @@ def reflect(cat):
         for boundary, members in classes.items()
     }
     return ReflectionResult(reflected=reflected, unit=unit, fibers=fibers)
+
+
+def _induced(table, cls):
+    """``table`` read on classes.
+
+    Two composites over one pair of classes that land in different classes
+    break the boundary law; :class:`LawViolation` names the least pair that
+    disagrees with a smaller one.
+    """
+    out = {}
+    for (b, a), v in table.items():
+        value = cls(v)
+        if out.setdefault((cls(b), cls(a)), value) != value:
+            break
+    else:
+        return out
+    # rescan in identifier order to report the least conflict
+    first = {}
+    for (b, a), v in sorted(table.items()):
+        if first.setdefault((cls(b), cls(a)), cls(v)) != cls(v):
+            raise LawViolation("boundary", (b, a))
 
 
 def reflect_functor(fun):
@@ -175,103 +174,20 @@ def validate_graph_morphism(mor):
 def in_class_E(mor):
     """Bijective on objects and 1-cells, surjective on 2-cells."""
     return (
-        _bijective(mor.g0, mor.target.objects)
-        and _bijective(mor.g1, mor.target.one_cells)
+        _bijectivity_witness(mor.g0, mor.target.objects) is None
+        and _bijectivity_witness(mor.g1, mor.target.one_cells) is None
         and set(mor.g2.values()) == set(mor.target.two_cells)
     )
-
-
-def _bijective(mapping, codomain):
-    values = set(mapping.values())
-    return len(values) == len(mapping) and values == set(codomain)
 
 
 def graph_pullback(f, g):
     """Componentwise fiber product of graph morphisms with a common target."""
     if f.target != g.target:
         raise MismatchedTarget("graph pullback needs a common target")
-    a, c = f.source, g.source
-
-    def pair(x, y):
-        return f"({x}|{y})"
-
-    objects = {
-        pair(x, y)
-        for x in a.objects
-        for y in c.objects
-        if f.g0[x] == g.g0[y]
-    }
-    one_cells = {}
-    one_identity = {}
-    for u in sorted(a.one_cells):
-        for w in sorted(c.one_cells):
-            if f.g1[u] == g.g1[w]:
-                one_cells[pair(u, w)] = (
-                    pair(a.one_cells[u][0], c.one_cells[w][0]),
-                    pair(a.one_cells[u][1], c.one_cells[w][1]),
-                )
-    for x in sorted(a.objects):
-        for y in sorted(c.objects):
-            if f.g0[x] == g.g0[y]:
-                one_identity[pair(x, y)] = pair(a.one_identity[x], c.one_identity[y])
-    two_cells = {}
-    two_identity = {}
-    for s in sorted(a.two_cells):
-        for t in sorted(c.two_cells):
-            if f.g2[s] == g.g2[t]:
-                two_cells[pair(s, t)] = (
-                    pair(a.two_cells[s][0], c.two_cells[t][0]),
-                    pair(a.two_cells[s][1], c.two_cells[t][1]),
-                )
-    for u in sorted(a.one_cells):
-        for w in sorted(c.one_cells):
-            if f.g1[u] == g.g1[w]:
-                two_identity[pair(u, w)] = pair(a.two_identity[u], c.two_identity[w])
-
-    apex = TwoReflexiveGraph(
-        objects=frozenset(objects),
-        one_cells=one_cells,
-        one_identity=one_identity,
-        two_cells=two_cells,
-        two_identity=two_identity,
-    )
-    proj1 = GraphMorphism(
-        source=apex,
-        target=a,
-        g0={p: _left(p) for p in objects},
-        g1={p: _left(p) for p in one_cells},
-        g2={p: _left(p) for p in two_cells},
-    )
-    proj2 = GraphMorphism(
-        source=apex,
-        target=c,
-        g0={p: _right(p) for p in objects},
-        g1={p: _right(p) for p in one_cells},
-        g2={p: _right(p) for p in two_cells},
-    )
+    apex, pairs, _ = fiber_product(f.source, g.source, (f.g0, f.g1, f.g2), (g.g0, g.g1, g.g2))
+    proj1 = GraphMorphism(apex, f.source, *projections(pairs, 0))
+    proj2 = GraphMorphism(apex, g.source, *projections(pairs, 1))
     return apex, proj1, proj2
-
-
-def _split_pair(p):
-    # "(x|y)" with x itself possibly containing balanced "(..|..)" pairs
-    body = p[1:-1]
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            return body[:i], body[i + 1:]
-    raise ValueError(f"not a pair identifier: {p!r}")
-
-
-def _left(p):
-    return _split_pair(p)[0]
-
-
-def _right(p):
-    return _split_pair(p)[1]
 
 
 def connected_component(cat, mu):

@@ -144,3 +144,30 @@ def descent_probe_setup():
     kept = [s for s in summands if not (s[0] == "h" and s[1] in failing)]
     cover, p = tc.edm_cover(base, kept)
     return h4na, base, phi, cover, p, len(summands) - len(kept)
+
+
+def law_breaking_document():
+    """A well-formed document whose boundary and v-assoc laws fail.
+
+    ``s . t2`` is declared to be ``t1``, which runs ``h => h'`` instead of
+    ``h => h``; the reflection and the monotone-light middle are then ill
+    defined.
+    """
+    return {
+        "objects": ["a", "b"],
+        "one_cells": [
+            {"id": "h", "dom": "a", "cod": "b"},
+            {"id": "h'", "dom": "a", "cod": "b"},
+        ],
+        "two_cells": [
+            {"id": "t1", "vdom": "h", "vcod": "h'"},
+            {"id": "t2", "vdom": "h", "vcod": "h'"},
+            {"id": "s", "vdom": "h'", "vcod": "h"},
+        ],
+        "vcompose": [
+            ["s", "t1", "vid:h"],
+            ["s", "t2", "t1"],
+            ["t1", "s", "vid:h'"],
+            ["t2", "s", "vid:h'"],
+        ],
+    }

@@ -195,7 +195,7 @@ def test_criterion_7_descent_suite(t_family):
     h4na, _, phi, _, cover_p, dropped = descent_probe_setup()
     ok = ok and not tc.validate_two_category(h4na).passed("h-assoc")
     ok = ok and not tc.is_edm(cover_p)
-    result = tc.relaxed_pullback(phi, cover_p)
+    result = tc.pullback(phi, cover_p)
     ok = ok and tc.validate_two_category(result.apex).all_pass
     verdict(7, f"descent suite ({dropped} summands withheld)", ok)
 

@@ -232,6 +232,6 @@ class TestNegativeDescent:
         assert tc.validate_two_functor(p) == []
         assert not tc.is_edm(p)
         assert not tc.validate_two_category(h4na).passed("h-assoc")
-        result = tc.relaxed_pullback(phi, p)
+        result = tc.pullback(phi, p)
         assert tc.validate_two_category(result.apex).all_pass
         assert dropped == 7

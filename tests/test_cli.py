@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,7 @@ from twocat.serialize import (
     to_document,
 )
 
-from conftest import pick_functor
+from conftest import law_breaking_document, pick_functor
 
 GALLERY_NAMES = ("T", "T0", "T3", "v4", "h4", "vh4", "h4na", "terminal")
 
@@ -168,5 +172,48 @@ class TestCommands:
         a = write("a.json", tc.make_T())
         assert main(["--cap", "1", "iso", a, a]) == 3
 
+    def test_deep_iso_search_under_raised_caps(self, workdir, capsys):
+        _, write = workdir
+        a = write("a.json", tc.make_vh4())
+        b = write("b.json", tc.make_vh4())
+        assert main(["--cap", "10000", "iso", a, b]) == 0
+        assert json.loads(capsys.readouterr().out)["f2"]
+
     def test_missing_file_is_malformed(self):
         assert main(["validate", "/nonexistent/place.json"]) == 2
+
+
+class TestLawBreakingInput:
+    @pytest.fixture()
+    def files(self, tmp_path):
+        cat = parse_document(json.dumps(law_breaking_document()))
+        paths = {}
+        for name, value in (("cat", cat), ("id", tc.identity_two_functor(cat))):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(dumps(to_document(value)), encoding="utf-8")
+        return paths
+
+    COMMANDS = (
+        ("reflect", "cat"),
+        ("factor --system=reflective", "id"),
+        ("factor --system=monotone-light", "id"),
+    )
+
+    @pytest.mark.parametrize("command, doc", COMMANDS)
+    def test_exit_one_with_a_single_error_line(self, files, capsys, command, doc):
+        assert main(command.split() + [str(files[doc])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: boundary law fails at ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, doc", COMMANDS)
+    def test_optimized_interpreter_gives_the_same_exit(self, files, command, doc):
+        env = dict(os.environ, PYTHONPATH=str(Path(tc.__file__).resolve().parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "twocat.cli", *command.split(), str(files[doc])],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert "Traceback" not in run.stderr

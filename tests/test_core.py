@@ -1,9 +1,36 @@
+import importlib
+import itertools
+import sys
+from pathlib import Path
+
 import pytest
 
 import twocat as tc
 from twocat.core import build_two_category
 
 from conftest import identity_on_cells, pick_functor
+
+#: The copy of the package that the benchmark times against; never edited.
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The pinned reference package, imported without writing bytecode."""
+    saved = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(REFERENCE))
+    try:
+        yield importlib.import_module("twocat_ref")
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+
+
+def assert_same_functors(ours, theirs):
+    """Both iterables yield functors with equal maps, in the same order."""
+    for index, (a, b) in enumerate(itertools.zip_longest(ours, theirs)):
+        assert a is not None and b is not None, f"lengths differ at {index}"
+        assert (a.f0, a.f1, a.f2) == (b.f0, b.f1, b.f2), f"functor {index} differs"
 
 
 def empty_category():
@@ -214,6 +241,12 @@ class TestIsomorphismSearch:
         with pytest.raises(tc.SearchCapExceeded):
             tc.find_isomorphism(gallery_objects["vh4"], gallery_objects["vh4"])
 
+    def test_deep_search_needs_no_recursion(self, gallery_objects):
+        vh4 = gallery_objects["vh4"]
+        witness = tc.find_isomorphism(vh4, vh4, tc.SearchCaps(1000, 10000, 10000))
+        assert witness is not None
+        assert tc.validate_two_functor(witness) == []
+
     def test_cap_override_is_honoured(self):
         caps = tc.SearchCaps(1, 1, 1)
         with pytest.raises(tc.SearchCapExceeded):
@@ -236,3 +269,37 @@ class TestFunctorEnumeration:
     def test_every_enumerated_functor_is_valid(self, corpus_functors):
         for fun in corpus_functors:
             assert tc.validate_two_functor(fun) == []
+
+
+class TestEnumerationOrder:
+    """The search yields exactly the reference's functors in its order."""
+
+    def test_t_family_pairs(self, t_family, reference):
+        for ends in itertools.product(t_family, repeat=2):
+            assert_same_functors(
+                tc.enumerate_two_functors(*ends), reference.enumerate_two_functors(*ends)
+            )
+
+    def test_ends_of_the_seeded_functors(self, seeded_functors, reference):
+        for fun in seeded_functors:
+            ends = (fun.source, fun.target)
+            assert_same_functors(
+                tc.enumerate_two_functors(*ends), reference.enumerate_two_functors(*ends)
+            )
+
+    def test_bijections_on_the_gallery(self, gallery_objects, reference):
+        objects = dict(gallery_objects, h4na=tc.make_h4_na())
+        # all automorphisms of vh4 take minutes to list, so vh4 compares its
+        # first one; the reference recurses once per cell to reach it
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 10_000))
+        try:
+            for name, cat in objects.items():
+                count = 1 if name == "vh4" else None
+                ours = tc.enumerate_two_functors(cat, cat, bijective=True)
+                theirs = reference.enumerate_two_functors(cat, cat, bijective=True)
+                assert_same_functors(
+                    itertools.islice(ours, count), itertools.islice(theirs, count)
+                )
+        finally:
+            sys.setrecursionlimit(limit)

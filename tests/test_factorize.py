@@ -1,8 +1,12 @@
+import json
+
 import pytest
 
 import twocat as tc
+from twocat.core import build_two_category
+from twocat.serialize import parse_document
 
-from conftest import pick_functor
+from conftest import law_breaking_document, pick_functor
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +40,32 @@ class TestMonotoneLight:
         fac = tc.monotone_light_factor(witness_inclusion)
         assert fac.certificates["e"].stably_vertical
         assert fac.certificates["m"].covering
+
+
+class TestInjectiveTags:
+    def test_colliding_tags_keep_every_cell(self):
+        cat = build_two_category(
+            objects=("x", "y"),
+            one_cells={u: ("x", "y") for u in ("a", "a=>b", "b=>c", "c")},
+            two_cells={"s": ("a=>b", "c"), "t": ("a", "b=>c")},
+        )
+        assert tc.validate_two_category(cat).all_pass
+        fun = tc.terminal_functor(cat)
+        fac = tc.monotone_light_factor(fun)
+        assert len(fac.middle.two_cells) == len(cat.two_cells) == 8
+        assert fac.e.f2["s"] != fac.e.f2["t"]
+        assert tc.validate_two_category(fac.middle).all_pass
+        assert tc.verify_factorization(fun, fac) == []
+
+
+class TestLawBreakingInput:
+    def test_both_factorizations_raise_a_law_violation(self):
+        cat = parse_document(json.dumps(law_breaking_document()))
+        fun = tc.identity_two_functor(cat)
+        for factor in (tc.monotone_light_factor, tc.reflective_factor):
+            with pytest.raises(tc.LawViolation) as caught:
+                factor(fun)
+            assert caught.value.law == "boundary"
 
 
 class TestReflective:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twocat as tc
+from twocat.core import build_two_category
 from twocat.limits import FiniteSquare
 
 from conftest import pick_functor
@@ -82,7 +83,7 @@ class TestPullback:
 class TestRelaxedPullback:
     def test_valid_inputs_give_an_all_pass_apex(self, collapse_pair):
         f, g = collapse_pair
-        result = tc.relaxed_pullback(f, g)
+        result = tc.pullback(f, g)
         assert tc.validate_two_category(result.apex).all_pass
 
     def test_pulling_the_broken_probe_back_along_itself_keeps_the_break(self):
@@ -95,9 +96,28 @@ class TestRelaxedPullback:
             f1={u: u for u in h4na.one_cells},
             f2={t: ("a03" if t == "a03x" else t) for t in h4na.two_cells},
         )
-        result = tc.relaxed_pullback(phi, phi)
+        result = tc.pullback(phi, phi)
         report = tc.validate_two_category(result.apex)
         assert not report.passed("h-assoc")
+
+
+class TestInjectiveNames:
+    def test_colliding_pair_names_are_escaped(self):
+        left = build_two_category(objects=("a|b", "a"), one_cells={}, two_cells={})
+        right = build_two_category(objects=("c", "b|c"), one_cells={}, two_cells={})
+        result = tc.product(left, right)
+        assert result.apex.carrier_sizes() == (4, 4, 4)
+        assert tc.validate_two_category(result.apex).all_pass
+        assert sorted(result.apex.objects) == [
+            r"(a\|b|b\|c)", r"(a\|b|c)", r"(a|b\|c)", "(a|c)"
+        ]
+        for proj in (result.proj1, result.proj2):
+            assert tc.validate_two_functor(proj) == []
+
+    def test_names_without_collisions_render_plain(self):
+        nested = tc.product(tc.product(tc.make_T(), tc.terminal()).apex, tc.terminal())
+        assert "((a|pt)|pt)" in nested.apex.objects
+        assert "((h|id:pt)|id:pt)" in nested.apex.one_cells
 
 
 class TestProductAndTerminal:

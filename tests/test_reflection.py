@@ -1,10 +1,13 @@
+import json
+
 import pytest
 
 import twocat as tc
 from twocat.core import build_two_category
 from twocat.reflection import validate_graph_morphism
+from twocat.serialize import parse_document
 
-from conftest import pick_functor
+from conftest import law_breaking_document, pick_functor
 
 
 class TestTwoPreorderPredicate:
@@ -198,6 +201,17 @@ class TestConnectedComponents:
         stray = tc.identity_two_functor(T2)  # ends in T2, not its reflection
         with pytest.raises(tc.MismatchedTarget):
             tc.connected_component(T2, stray)
+
+
+class TestLawBreakingInput:
+    def test_reflect_names_the_law_and_the_least_conflicting_pair(self):
+        cat = parse_document(json.dumps(law_breaking_document()))
+        report = tc.validate_two_category(cat)
+        assert report.counterexample("boundary") == ("s", "t2")
+        assert not report.passed("v-assoc")
+        with pytest.raises(tc.LawViolation) as caught:
+            tc.reflect(cat)
+        assert (caught.value.law, caught.value.cells) == ("boundary", ("s", "t2"))
 
 
 class TestStability:
