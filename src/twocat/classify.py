@@ -3,7 +3,8 @@
 Each predicate is a direct combinatorial test on the functor's carrier
 maps; the two oracles recompute trivial coverings and coverings from their
 defining pullback conditions so the pair can be cross-checked on every
-input.  Witnesses are the lexicographically least failing cells.
+input.  Witnesses are the lexicographically least failing cells.  The
+hom-wise predicates visit only nonempty vertical homs.
 """
 
 from dataclasses import dataclass
@@ -44,20 +45,15 @@ def is_edm(fun, witness=None):
     for t in sorted(src.two_cells):
         fibers.setdefault(fun.f2[t], []).append(t)
 
-    def lifts(chain, step_src, step_tgt):
-        def extend(prefix, remaining):
-            if not remaining:
+    def lifts(chain, step_src, step_tgt, prefix=None):
+        if not chain:
+            return True
+        for cell in fibers.get(chain[0], ()):
+            if prefix is not None and step_src(cell) != prefix:
+                continue
+            if lifts(chain[1:], step_src, step_tgt, step_tgt(cell)):
                 return True
-            head = remaining[0]
-            for cell in fibers.get(head, ()):
-                if prefix is not None and step_src(cell) != prefix:
-                    continue
-                if extend(step_end(cell), remaining[1:]):
-                    return True
-            return False
-
-        step_end = step_tgt
-        return extend(None, chain)
+        return False
 
     for kind, triples, src_start, src_end in (
         ("v", tgt.vert_triples(), src.vdom, src.vcod),
@@ -77,74 +73,71 @@ def is_edm(fun, witness=None):
     return True
 
 
-def is_vertical(fun, witness=None):
-    """Bijective below 2-cells and reflecting nonemptiness of vertical homs."""
+def _pulled_back_homs(fun, witness):
+    """The target's nonempty vertical homs over source 1-cells, least first.
+
+    ``None`` unless ``f0`` and ``f1`` are bijections; the least witness that
+    one is not then goes to ``witness``.
+    """
     for mapping, codomain in ((fun.f0, fun.target.objects), (fun.f1, fun.target.one_cells)):
         bad = _bijectivity_witness(mapping, codomain)
         if bad is not None:
             if witness is not None:
                 witness.append(bad)
+            return None
+    inverse = {v: u for u, v in fun.f1.items()}
+    return sorted(((inverse[h], inverse[k]), b) for (h, k), b in fun.target._hom_index.items())
+
+
+def is_vertical(fun, witness=None):
+    """Bijective below 2-cells and reflecting nonemptiness of vertical homs."""
+    homs = _pulled_back_homs(fun, witness)
+    if homs is None:
+        return False
+    for pair, _cells in homs:
+        if pair not in fun.source._hom_index:
+            if witness is not None:
+                witness.append(pair)
             return False
-    src, tgt = fun.source, fun.target
-    for h in sorted(src.one_cells):
-        for k in sorted(src.one_cells):
-            if tgt.hom(fun.f1[h], fun.f1[k]) and not src.hom(h, k):
-                if witness is not None:
-                    witness.append((h, k))
-                return False
     return True
 
 
 def is_stably_vertical(fun, witness=None):
     """Bijective below 2-cells and surjective on every vertical hom."""
-    for mapping, codomain in ((fun.f0, fun.target.objects), (fun.f1, fun.target.one_cells)):
-        bad = _bijectivity_witness(mapping, codomain)
-        if bad is not None:
-            if witness is not None:
-                witness.append(bad)
-            return False
-    src, tgt = fun.source, fun.target
-    for h in sorted(src.one_cells):
-        for k in sorted(src.one_cells):
-            image = {fun.f2[t] for t in src.hom(h, k)}
-            for b in tgt.hom(fun.f1[h], fun.f1[k]):
-                if b not in image:
-                    if witness is not None:
-                        witness.append((h, k, b))
-                    return False
+    homs = _pulled_back_homs(fun, witness)
+    if homs is None:
+        return False
+    for (h, k), cells in homs:
+        image = {fun.f2[t] for t in fun.source._hom_index.get((h, k), ())}
+        for b in cells:
+            if b not in image:
+                if witness is not None:
+                    witness.append((h, k, b))
+                return False
     return True
 
 
 def is_trivial_covering(fun, witness=None):
     """Bijective on every nonempty vertical hom of the source."""
-    src, tgt = fun.source, fun.target
-    for h in sorted(src.one_cells):
-        for k in sorted(src.one_cells):
-            cells = src.hom(h, k)
-            if not cells:
-                continue
-            image = [fun.f2[t] for t in cells]
-            target_hom = tgt.hom(fun.f1[h], fun.f1[k])
-            if len(set(image)) != len(image) or set(image) != set(target_hom):
-                if witness is not None:
-                    witness.append((h, k))
-                return False
+    for (h, k), cells in sorted(fun.source._hom_index.items()):
+        if sorted(fun.f2[t] for t in cells) != fun.target._hom_index.get((fun.f1[h], fun.f1[k])):
+            if witness is not None:
+                witness.append((h, k))
+            return False
     return True
 
 
 def is_covering(fun, witness=None):
     """Injective on every vertical hom of the source."""
-    src = fun.source
-    for h in sorted(src.one_cells):
-        for k in sorted(src.one_cells):
-            seen = {}
-            for t in src.hom(h, k):
-                image = fun.f2[t]
-                if image in seen:
-                    if witness is not None:
-                        witness.append((seen[image], t))
-                    return False
-                seen[image] = t
+    for _pair, cells in sorted(fun.source._hom_index.items()):
+        seen = {}
+        for t in cells:
+            image = fun.f2[t]
+            if image in seen:
+                if witness is not None:
+                    witness.append((seen[image], t))
+                return False
+            seen[image] = t
     return True
 
 

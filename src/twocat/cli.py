@@ -2,9 +2,9 @@
 edm-cover, gallery, iso.
 
 Documents are JSON files; ``-`` reads stdin.  Exit codes: 0 success,
-1 check failure (including law-breaking input that ``reflect`` and
-``factor`` cannot build on), 2 malformed input, 3 search or budget cap
-exceeded.
+1 check failure (including law-breaking input that ``reflect``, ``factor``
+and ``edm-cover`` cannot build on), 2 malformed input, 3 search or budget
+cap exceeded.
 """
 
 import argparse

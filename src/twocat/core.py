@@ -628,18 +628,15 @@ def _bijectivity_witness(mapping, codomain):
         if value in images:
             return (images[value], key)
         images[value] = key
-    unhit = sorted(set(codomain) - set(images))
-    if unhit:
-        return (unhit[0],)
-    return None
+    unhit = set(codomain) - set(images)
+    return (min(unhit),) if unhit else None
 
 
 def vertical_hom(cat, h, k):
     """The set of 2-cells with vertical domain ``h`` and codomain ``k``."""
-    if h not in cat.one_cells:
-        raise UnknownCell(f"unknown 1-cell {h!r}")
-    if k not in cat.one_cells:
-        raise UnknownCell(f"unknown 1-cell {k!r}")
+    for u in (h, k):
+        if u not in cat.one_cells:
+            raise UnknownCell(f"unknown 1-cell {u!r}")
     return frozenset(cat.hom(h, k))
 
 

@@ -36,8 +36,8 @@ class CyclicPresentation(TwoCatError):
 class LawViolation(TwoCatError):
     """A construction met composites that break a 2-category law.
 
-    ``law`` is a name from ``LAW_NAMES`` and ``cells`` the least pair of
-    cells at which the construction found it broken.
+    ``law`` is a name from ``LAW_NAMES`` and ``cells`` the least cells
+    (usually a pair) at which the construction found it broken.
     """
 
     def __init__(self, law, cells):

@@ -11,8 +11,9 @@ from .core import (
     coproduct,
     copair,
     enumerate_two_functors,
+    validate_two_category,
 )
-from .errors import BudgetExceeded, CyclicPresentation, MalformedData
+from .errors import BudgetExceeded, CyclicPresentation, LawViolation, MalformedData
 from .limits import product, terminal
 from .reflection import connected_component, reflect
 
@@ -429,8 +430,12 @@ def edm_summands(base):
     """One projected copy of v4 or h4 per composable 2-cell triple of ``base``.
 
     Returns tuples ``(kind, triple, part, leg)`` where ``triple`` is in
-    application order and ``leg`` maps the part onto it.
+    application order and ``leg`` maps the part onto it.  A law-breaking
+    ``base`` raises :class:`LawViolation` with its first recorded failure.
     """
+    failures = validate_two_category(base).failures
+    if failures:
+        raise LawViolation(*next(iter(failures.items())))
     v4, v4_one_meta, v4_two_meta = _free_two_preorder_with_meta(V4_PRESENTATION)
     h4, h4_one_meta, h4_two_meta = _free_two_preorder_with_meta(H4_PRESENTATION)
     out = []

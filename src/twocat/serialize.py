@@ -76,43 +76,55 @@ def _expect(cond, message):
 
 
 def _cells(doc, key, first, second):
+    # no _expect in the row loops: a message formatted per row costs more than the parse
     out = {}
     for row in doc.get(key, ()):
-        _expect(isinstance(row, dict) and {"id", first, second} <= set(row),
-                f"{key} entries need id/{first}/{second}")
-        _expect(row["id"] not in out, f"duplicate {key} id {row['id']!r}")
-        out[row["id"]] = (row[first], row[second])
+        if not (isinstance(row, dict) and {"id", first, second} <= row.keys()):
+            raise MalformedData(f"{key} entries need id/{first}/{second}")
+        cell, low, high = row["id"], row[first], row[second]
+        if not (isinstance(cell, str) and isinstance(low, str) and isinstance(high, str)):
+            raise MalformedData(f"{key} ids and boundaries are strings")
+        if cell in out:
+            raise MalformedData(f"duplicate {key} id {cell!r}")
+        out[cell] = (low, high)
     return out
 
 
 def _rows(doc, key):
     out = {}
     for row in doc.get(key, ()):
-        _expect(isinstance(row, list) and len(row) == 3, f"{key} rows are triples")
+        if not (isinstance(row, list) and len(row) == 3):
+            raise MalformedData(f"{key} rows are triples")
         g, f, v = row
-        _expect((g, f) not in out or out[(g, f)] == v,
-                f"conflicting {key} rows for ({g!r}, {f!r})")
-        out[(g, f)] = v
+        if not (isinstance(g, str) and isinstance(f, str) and isinstance(v, str)):
+            raise MalformedData(f"{key} entries are strings")
+        if out.setdefault((g, f), v) != v:
+            raise MalformedData(f"conflicting {key} rows for ({g!r}, {f!r})")
     return out
 
 
 def _pairs(doc, key):
     out = {}
     for row in doc.get(key, ()):
-        _expect(isinstance(row, list) and len(row) == 2, f"{key} entries are pairs")
+        if not (isinstance(row, list) and len(row) == 2):
+            raise MalformedData(f"{key} entries are pairs")
         src, dst = row
-        _expect(src not in out or out[src] == dst, f"conflicting {key} entry {src!r}")
-        out[src] = dst
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            raise MalformedData(f"{key} entries are strings")
+        if out.setdefault(src, dst) != dst:
+            raise MalformedData(f"conflicting {key} entry {src!r}")
     return out
 
 
 def document_to_category(doc):
     """Parse and complete a 2-category document; the result is well formed."""
     _expect(isinstance(doc, dict), "a 2-category document is a JSON object")
-    _expect("objects" in doc, "missing the objects field")
+    objects = doc.get("objects")
+    _expect(isinstance(objects, list) and all(isinstance(x, str) for x in objects),
+            "the objects field must be a list of strings")
     try:
         cat = build_two_category(
-            objects=doc["objects"],
+            objects=objects,
             one_cells=_cells(doc, "one_cells", "dom", "cod"),
             two_cells=_cells(doc, "two_cells", "vdom", "vcod"),
             one_identity=_pairs(doc, "one_identity") or None,
@@ -143,15 +155,8 @@ def document_to_functor(doc):
         _expect(key in doc, f"missing the {key} field")
     source = document_to_category(doc["source"])
     target = document_to_category(doc["target"])
-    fun = TwoFunctor(
-        source=source,
-        target=target,
-        f0=_pairs(doc, "f0"),
-        f1=_pairs(doc, "f1"),
-        f2=_pairs(doc, "f2"),
-    )
     # entries for synthesized identities need not be spelled out in the maps
-    f0, f1, f2 = dict(fun.f0), dict(fun.f1), dict(fun.f2)
+    f0, f1, f2 = (_pairs(doc, key) for key in ("f0", "f1", "f2"))
     for x in source.objects:
         if x in f0 and f0[x] in target.one_identity:
             f1.setdefault(source.one_identity[x], target.one_identity[f0[x]])

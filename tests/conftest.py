@@ -6,11 +6,29 @@ closed form 4 + n^m (+1 when m = 0 for the arrow swap), derived by hand
 from the four object maps and the possible 1-cell images.
 """
 
+import importlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 import twocat as tc
+
+#: The copy of the package that the benchmark times against; never edited.
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The pinned reference package, imported without writing bytecode."""
+    saved = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(REFERENCE))
+    try:
+        yield importlib.import_module("twocat_ref")
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
+import dataclasses
+import itertools
+
 import pytest
 
 import twocat as tc
 
-from conftest import descent_probe_setup, pick_functor
+from conftest import descent_probe_setup, identity_on_cells, pick_functor
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +238,94 @@ class TestNegativeDescent:
         result = tc.pullback(phi, p)
         assert tc.validate_two_category(result.apex).all_pass
         assert dropped == 7
+
+
+#: The predicates pinned against the reference; the last four are hom-wise.
+PINNED = ("is_edm", "is_vertical", "is_stably_vertical", "is_trivial_covering", "is_covering")
+
+
+@pytest.fixture(scope="module")
+def differential_functors(corpus_functors, seeded_functors):
+    """Corpus, seeded and random functors, cover projections and inclusions.
+
+    The functors between small random instances bring non-bijective 1-cell
+    maps and empty target homs.
+    """
+    instances = [
+        tc.random_instance(seed, max_objects=4, max_one_cells=10, max_two_cells=14)
+        for seed in range(12)
+    ]
+    between = [
+        fun
+        for a, b in itertools.product(instances, repeat=2)
+        for fun in itertools.islice(tc.enumerate_two_functors(a, b), 4)
+    ]
+    covers = [tc.edm_cover(base)[1] for base in (tc.make_T(), tc.make_Tn(3))]
+    rich = (tc.make_Tn(3), tc.make_v4(), tc.make_h4(), tc.product(tc.make_T(), tc.make_Tn(2)).apex)
+    discrete = [locally_discrete_inclusion(cat) for cat in rich]
+    return corpus_functors + seeded_functors + between + covers + discrete
+
+
+def locally_discrete_inclusion(cat):
+    """The inclusion into ``cat`` of its 1-cells with identity 2-cells only.
+
+    Bijective below 2-cells and missing every non-identity hom, so the
+    least-witness order of the vertical classes is exercised.
+    """
+    ids = cat.two_identity
+    sub = tc.TwoCategory(
+        objects=cat.objects,
+        one_cells=cat.one_cells,
+        one_identity=cat.one_identity,
+        one_compose=cat.one_compose,
+        two_cells={ids[h]: (h, h) for h in cat.one_cells},
+        two_identity=ids,
+        vert_compose={(ids[h], ids[h]): ids[h] for h in cat.one_cells},
+        horiz_compose={(ids[g], ids[f]): ids[gf] for (g, f), gf in cat.one_compose.items()},
+    )
+    identity = {t: t for t in sub.two_cells}
+    return tc.TwoFunctor(sub, cat, {x: x for x in cat.objects}, identity_on_cells(cat), identity)
+
+
+def on_reference(reference, fun):
+    """``fun`` rebuilt from the reference package's own carrier types."""
+
+    def category(cat):
+        return reference.TwoCategory(
+            **{field.name: getattr(cat, field.name) for field in dataclasses.fields(cat)}
+        )
+
+    return reference.TwoFunctor(category(fun.source), category(fun.target), fun.f0, fun.f1, fun.f2)
+
+
+class TestAgainstTheReference:
+    """The predicates give the pinned reference's verdicts and least witnesses."""
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_verdicts_and_least_witnesses(self, name, differential_functors, reference):
+        ours, theirs = getattr(tc, name), getattr(reference, name)
+        failures = 0
+        for fun in differential_functors:
+            twin = on_reference(reference, fun)
+            found, expected = [], []
+            verdict = ours(fun)
+            assert verdict == ours(fun, witness=found)
+            assert verdict == theirs(twin) == theirs(twin, witness=expected)
+            assert found == expected
+            failures += not verdict
+        assert failures > 100  # the witness paths are exercised
+
+
+class TestScale:
+    def test_h4_cover_projection(self):
+        _, p = tc.edm_cover(tc.make_h4())
+        assert p.source.carrier_sizes() == (2024, 11798, 26050)
+        report = tc.classify(p)
+        assert report.as_dict() == {
+            "edm": True,
+            "vertical": False,
+            "stably_vertical": False,
+            "trivial_covering": True,
+            "covering": True,
+        }
+        assert tc.trivial_covering_oracle(p)

@@ -81,6 +81,41 @@ class TestRoundTrip:
             parse_document(json.dumps(doc))  # m(g, f) is missing
 
 
+class TestLooseIngest:
+    """Identifiers are strings; anything else is malformed (exit 2)."""
+
+    DOCUMENTS = {
+        "objects-as-a-string": {"objects": "ab"},
+        "integer-objects": {"objects": [1, 2]},
+        "integer-cell-id": {
+            "objects": ["a", "b"],
+            "one_cells": [{"id": "h", "dom": "a", "cod": "b"}],
+            "two_cells": [{"id": 7, "vdom": "h", "vcod": "h"}],
+        },
+    }
+
+    @pytest.mark.parametrize("name", DOCUMENTS)
+    def test_parse_raises_malformed_data(self, name):
+        with pytest.raises(tc.MalformedData, match="strings"):
+            parse_document(json.dumps(self.DOCUMENTS[name]))
+
+    @pytest.mark.parametrize("name", DOCUMENTS)
+    def test_validate_exits_two_with_one_error_line(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(self.DOCUMENTS[name]), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_non_string_functor_entries_are_malformed(self, t_family):
+        doc = functor_to_document(tc.identity_two_functor(t_family[1]))
+        doc["f0"][0][1] = 0
+        with pytest.raises(tc.MalformedData, match="f0 entries are strings"):
+            parse_document(json.dumps(doc))
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     def write(name, value):
@@ -197,6 +232,7 @@ class TestLawBreakingInput:
         ("reflect", "cat"),
         ("factor --system=reflective", "id"),
         ("factor --system=monotone-light", "id"),
+        ("edm-cover", "cat"),
     )
 
     @pytest.mark.parametrize("command, doc", COMMANDS)

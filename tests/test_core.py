@@ -1,7 +1,5 @@
-import importlib
 import itertools
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -9,21 +7,6 @@ import twocat as tc
 from twocat.core import build_two_category
 
 from conftest import identity_on_cells, pick_functor
-
-#: The copy of the package that the benchmark times against; never edited.
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-
-
-@pytest.fixture(scope="module")
-def reference():
-    """The pinned reference package, imported without writing bytecode."""
-    saved = sys.dont_write_bytecode, list(sys.path)
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(REFERENCE))
-    try:
-        yield importlib.import_module("twocat_ref")
-    finally:
-        sys.dont_write_bytecode, sys.path[:] = saved
 
 
 def assert_same_functors(ours, theirs):

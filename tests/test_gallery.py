@@ -1,10 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import twocat as tc
 from twocat.gallery import TwoGraphPresentation, by_name
+from twocat.serialize import parse_document
 
-from conftest import brute_horizontal_triples, brute_vertical_triples
+from conftest import brute_horizontal_triples, brute_vertical_triples, law_breaking_document
 
 
 class TestProbeFamily:
@@ -184,6 +187,13 @@ class TestDescentCover:
         cover, p = tc.edm_cover(empty)
         assert cover.carrier_sizes() == (0, 0, 0)
         assert tc.is_edm(p)
+
+    def test_law_breaking_base_names_the_first_failing_law(self):
+        cat = parse_document(json.dumps(law_breaking_document()))
+        for build in (tc.edm_summands, tc.edm_cover):
+            with pytest.raises(tc.LawViolation) as caught:
+                build(cat)
+            assert (caught.value.law, caught.value.cells) == ("boundary", ("s", "t2"))
 
     def test_pullbacks_along_the_cover_validate(self, t_family):
         base = t_family[1]
