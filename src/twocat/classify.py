@@ -10,8 +10,8 @@ hom-wise predicates visit only nonempty vertical homs.
 from dataclasses import dataclass
 
 from .core import _bijectivity_witness, enumerate_two_functors
-from .limits import pair_into_pullback, pullback
-from .reflection import reflect, reflect_functor
+from .limits import pullback
+from .reflection import _reflected_square, is_two_preorder
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,7 @@ def trivial_covering_oracle(fun):
     reflected functor and asks whether the canonical comparison from the
     source is a levelwise bijection.
     """
-    unit_b = reflect(fun.target).unit
-    reflected_f = reflect_functor(fun)
-    square = pullback(unit_b, reflected_f)
-    unit_a = reflect(fun.source).unit
-    comparison = pair_into_pullback(square, fun, unit_a)
+    square, comparison = _reflected_square(fun)
     return all(
         _bijectivity_witness(mapping, codomain) is None
         for mapping, codomain in (
@@ -171,7 +167,6 @@ def covering_oracle(fun):
     is a 2-preorder.
     """
     from .gallery import make_T
-    from .reflection import is_two_preorder
 
     probe = make_T()
     for phi in enumerate_two_functors(probe, fun.target):

@@ -26,8 +26,8 @@ from .core import (
     validate_two_category,
     validate_two_functor,
 )
-from .limits import encoder, pair_into_pullback, pullback
-from .reflection import reflect, reflect_functor
+from .limits import encoder
+from .reflection import _reflected_square
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ def reflective_factor(fun):
     canonical comparison; their classes are the inverted-by-reflection
     morphisms and the trivial coverings.
     """
-    square = pullback(reflect(fun.target).unit, reflect_functor(fun))
-    e = pair_into_pullback(square, fun, reflect(fun.source).unit)
+    square, e = _reflected_square(fun)
     m = square.proj1
     return MLFactorization(
         e=e,

@@ -15,10 +15,11 @@ from .core import (
     TwoFunctor,
     TwoReflexiveGraph,
     _bijectivity_witness,
+    enumerate_two_functors,
     find_isomorphism,
 )
 from .errors import LawViolation, MismatchedTarget
-from .limits import fiber_product, projections, pullback
+from .limits import fiber_product, pair_into_pullback, projections, pullback
 
 
 @dataclass(frozen=True)
@@ -115,18 +116,26 @@ def _induced(table, cls):
 
 def reflect_functor(fun):
     """The induced functor between the reflections of source and target."""
-    src = reflect(fun.source)
-    tgt = reflect(fun.target)
+    return _induced_functor(fun, reflect(fun.source), reflect(fun.target))
+
+
+def _induced_functor(fun, src, tgt):
+    """``fun`` read between the reflections ``src`` and ``tgt`` of its ends."""
     f2 = {}
     for name, members in src.fibers.items():
         f2[name] = tgt.unit.f2[fun.f2[next(iter(members))]]
-    return TwoFunctor(
-        source=src.reflected,
-        target=tgt.reflected,
-        f0=dict(fun.f0),
-        f1=dict(fun.f1),
-        f2=f2,
-    )
+    return TwoFunctor(src.reflected, tgt.reflected, dict(fun.f0), dict(fun.f1), f2)
+
+
+def _reflected_square(fun):
+    """The target's unit pulled back along the reflected ``fun``.
+
+    Returns the square and the comparison into it from ``fun.source``.
+    Each end is reflected once, the target first.
+    """
+    tgt, src = reflect(fun.target), reflect(fun.source)
+    square = pullback(tgt.unit, _induced_functor(fun, src, tgt))
+    return square, pair_into_pullback(square, fun, src.unit)
 
 
 def underlying_two_graph(cat):
@@ -192,7 +201,11 @@ def graph_pullback(f, g):
 
 def connected_component(cat, mu):
     """Pullback of the reflection unit of ``cat`` along a probe into it."""
-    unit = reflect(cat).unit
+    return _component(reflect(cat).unit, mu)
+
+
+def _component(unit, mu):
+    """Pullback of a reflection ``unit`` along a probe into its target."""
     if mu.target != unit.target:
         raise MismatchedTarget("the probe must end in the reflection of the 2-category")
     return pullback(unit, mu)
@@ -209,14 +222,12 @@ def check_semi_left_exact(cat, caps=DEFAULT_CAPS):
 
     Enumerates every functor from the two-object single-2-cell probe into
     the reflection of ``cat`` and tests that the component over it has a
-    reflection isomorphic to the probe.
+    reflection isomorphic to the probe.  ``cat`` is reflected once.
     """
-    from .core import enumerate_two_functors
-
     probe = _probe_object()
-    reflected = reflect(cat).reflected
-    for mu in enumerate_two_functors(probe, reflected):
-        component = connected_component(cat, mu).apex
+    unit = reflect(cat).unit
+    for mu in enumerate_two_functors(probe, unit.target):
+        component = _component(unit, mu).apex
         if find_isomorphism(reflect(component).reflected, probe, caps) is None:
             return False
     return True
@@ -226,20 +237,20 @@ def check_stable_units(cat, other, caps=DEFAULT_CAPS):
     """Whether paired connected components of two 2-categories stay connected.
 
     For every pair of probes, the fiber product of the two components over
-    the probe must again reflect onto the probe.
+    the probe must again reflect onto the probe.  Each component of ``other``
+    is built once, when it is first needed.
     """
-    from .core import enumerate_two_functors
-
     probe = _probe_object()
-    reflected_c = reflect(cat).reflected
-    reflected_d = reflect(other).reflected
-    probes_c = list(enumerate_two_functors(probe, reflected_c))
-    probes_d = list(enumerate_two_functors(probe, reflected_d))
+    unit_c, unit_d = reflect(cat).unit, reflect(other).unit
+    probes_c = list(enumerate_two_functors(probe, unit_c.target))
+    probes_d = list(enumerate_two_functors(probe, unit_d.target))
+    components_d = {}
     for mu in probes_c:
-        c_mu = connected_component(cat, mu)
-        for nu in probes_d:
-            d_nu = connected_component(other, nu)
-            mixed = pullback(c_mu.proj2, d_nu.proj2).apex
+        c_mu = _component(unit_c, mu)
+        for i, nu in enumerate(probes_d):
+            if i not in components_d:
+                components_d[i] = _component(unit_d, nu)
+            mixed = pullback(c_mu.proj2, components_d[i].proj2).apex
             if find_isomorphism(reflect(mixed).reflected, probe, caps) is None:
                 return False
     return True

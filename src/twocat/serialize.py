@@ -13,13 +13,36 @@ trailing newline, so print-parse-print is byte stable.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .core import TwoCategory, TwoFunctor, build_two_category, check_well_formed
 from .errors import MalformedData
 
 
 def dumps(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+
+    Keys must be strings.  The layout is done here because ``indent`` makes
+    the standard library use its pure-Python encoder, at twice the time.
+    """
+    return _layout(doc, "\n") + "\n"
+
+
+def _layout(value, newline):
+    """The JSON text of ``value``, its inner lines indented below ``newline``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict) and value:
+        inner = newline + "  "
+        body = ("," + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_layout(value[k], inner)}" for k in sorted(value)]
+        )
+        return f"{{{inner}{body}{newline}}}"
+    if isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        body = ("," + inner).join([_layout(item, inner) for item in value])
+        return f"[{inner}{body}{newline}]"
+    return json.dumps(value)
 
 
 def category_to_document(cat):

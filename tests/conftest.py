@@ -6,6 +6,7 @@ closed form 4 + n^m (+1 when m = 0 for the arrow swap), derived by hand
 from the four object maps and the possible 1-cell images.
 """
 
+import dataclasses
 import importlib
 import random
 import sys
@@ -29,6 +30,24 @@ def reference():
         yield importlib.import_module("twocat_ref")
     finally:
         sys.dont_write_bytecode, sys.path[:] = saved
+
+
+def reference_category(reference, cat):
+    """``cat`` rebuilt from the reference package's own carrier type."""
+    return reference.TwoCategory(
+        **{field.name: getattr(cat, field.name) for field in dataclasses.fields(cat)}
+    )
+
+
+def on_reference(reference, fun):
+    """``fun`` rebuilt from the reference package's own carrier types."""
+    return reference.TwoFunctor(
+        reference_category(reference, fun.source),
+        reference_category(reference, fun.target),
+        fun.f0,
+        fun.f1,
+        fun.f2,
+    )
 
 
 @pytest.fixture(scope="session")

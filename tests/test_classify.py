@@ -1,11 +1,10 @@
-import dataclasses
 import itertools
 
 import pytest
 
 import twocat as tc
 
-from conftest import descent_probe_setup, identity_on_cells, pick_functor
+from conftest import descent_probe_setup, identity_on_cells, on_reference, pick_functor
 
 
 @pytest.fixture(scope="module")
@@ -285,17 +284,6 @@ def locally_discrete_inclusion(cat):
     )
     identity = {t: t for t in sub.two_cells}
     return tc.TwoFunctor(sub, cat, {x: x for x in cat.objects}, identity_on_cells(cat), identity)
-
-
-def on_reference(reference, fun):
-    """``fun`` rebuilt from the reference package's own carrier types."""
-
-    def category(cat):
-        return reference.TwoCategory(
-            **{field.name: getattr(cat, field.name) for field in dataclasses.fields(cat)}
-        )
-
-    return reference.TwoFunctor(category(fun.source), category(fun.target), fun.f0, fun.f1, fun.f2)
 
 
 class TestAgainstTheReference:

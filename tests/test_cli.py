@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import twocat as tc
 from twocat.cli import main
@@ -253,3 +255,70 @@ class TestLawBreakingInput:
         assert run.returncode == 1
         assert run.stdout == ""
         assert "Traceback" not in run.stderr
+
+
+def standard_dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+class TestDumpsMatchesTheStandardLibrary:
+    """``dumps`` gives the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @pytest.mark.parametrize("name", GALLERY_NAMES)
+    def test_gallery_documents(self, name):
+        doc = category_to_document(tc.gallery.by_name(name))
+        assert dumps(doc) == standard_dumps(doc)
+
+    def test_one_document_of_each_subcommand(self, workdir, monkeypatch, t_family):
+        _, write = workdir
+        printed = []
+
+        def recording(doc):
+            printed.append(doc)
+            return dumps(doc)
+
+        monkeypatch.setattr("twocat.cli.dumps", recording)
+        fun = write("f.json", pick_functor(t_family[2], t_family[1], t1="t1", t2="t1"))
+        one = write("one.json", tc.identity_two_functor(t_family[1]))
+        t3 = write("t3.json", tc.make_Tn(3))
+        commands = (
+            ["reflect", t3],
+            ["classify", "--oracle", fun],
+            ["factor", "--system=reflective", fun],
+            ["factor", "--system=monotone-light", fun],
+            ["pullback", fun, one],
+            ["edm-cover", write("t.json", tc.make_T())],
+            ["gallery", "v4"],
+            ["iso", t3, t3],
+        )
+        for argv in commands:
+            assert main(argv) == 0
+        assert len(printed) == len(commands)
+        for doc in printed:
+            assert dumps(doc) == standard_dumps(doc)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}], (1, (2, 3)),
+            True, False, None, 0, -7, 2**70, 0.1, -2.5e-300, 1e16,
+            float("nan"), float("inf"), {"k": [True, None, 1.5, "x"]},
+            "", "quote \" backslash \\ slash /", "\n\t\r\b\f\x00\x1f\x7f",
+            "café ∘ 2-cell ⇒ 𝔸", {"⇒": "é", "b\"": "\u2028", "a": 1},
+        ],
+    )
+    def test_edge_values(self, value):
+        assert dumps(value) == standard_dumps(value)
+
+    @given(JSON_VALUES)
+    def test_nested_json_values(self, value):
+        assert dumps(value) == standard_dumps(value)

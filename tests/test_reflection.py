@@ -1,13 +1,17 @@
+import itertools
 import json
+import sys
+import time
 
 import pytest
 
 import twocat as tc
+from twocat import reflection
 from twocat.core import build_two_category
 from twocat.reflection import validate_graph_morphism
 from twocat.serialize import parse_document
 
-from conftest import law_breaking_document, pick_functor
+from conftest import law_breaking_document, pick_functor, reference_category
 
 
 class TestTwoPreorderPredicate:
@@ -202,6 +206,15 @@ class TestConnectedComponents:
         with pytest.raises(tc.MismatchedTarget):
             tc.connected_component(T2, stray)
 
+    @pytest.mark.parametrize("check", [tc.reflective_factor, tc.trivial_covering_oracle])
+    def test_a_cone_off_the_reflected_square_raises(self, check):
+        T2 = tc.make_Tn(2)
+        identity = tc.identity_two_functor(T2)
+        # t2 is parallel to t1 but lands on a cell of another boundary
+        broken = tc.TwoFunctor(T2, T2, identity.f0, identity.f1, {**identity.f2, "t2": "vid:h"})
+        with pytest.raises(tc.MismatchedTarget):
+            check(broken)
+
 
 class TestLawBreakingInput:
     def test_reflect_names_the_law_and_the_least_conflicting_pair(self):
@@ -230,3 +243,96 @@ class TestStability:
     def test_stable_units_across_a_coproduct(self):
         union, _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
         assert tc.check_stable_units(union, tc.make_Tn(3))
+
+
+@pytest.fixture(scope="module")
+def probe_inputs(gallery_objects):
+    """Gallery objects but vh4, seeded random instances and a coproduct."""
+    cats = {name: cat for name, cat in gallery_objects.items() if name != "vh4"}
+    for seed in range(4):
+        cats[f"random {seed}"] = tc.random_instance(seed, 4, 16, 32)
+    cats["T2+T"], _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
+    return cats
+
+
+class TestProbeChecksAgainstTheReference:
+    """The probe checks give the pinned reference's verdicts."""
+
+    def test_semi_left_exactness(self, probe_inputs, reference):
+        for name, cat in probe_inputs.items():
+            theirs = reference.check_semi_left_exact(reference_category(reference, cat))
+            assert tc.check_semi_left_exact(cat) == theirs, name
+
+    def test_stable_units(self, probe_inputs, reference):
+        gallery = ("terminal", "T0", "T", "T2", "T3", "T4", "v4")
+        randoms = [name for name in probe_inputs if name.startswith("random")]
+        pairs = list(itertools.product(gallery, repeat=2)) + [("T", "h4"), ("h4", "T")]
+        pairs += [(r, "T2+T") for r in randoms] + [("T2+T", r) for r in randoms]
+        for a, b in pairs:
+            cat, other = probe_inputs[a], probe_inputs[b]
+            theirs = reference.check_stable_units(
+                reference_category(reference, cat), reference_category(reference, other)
+            )
+            assert tc.check_stable_units(cat, other) == theirs, (a, b)
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """The arguments of every ``reflect`` and ``pullback`` call the package makes."""
+    log = {"reflect": [], "pullback": []}
+    for name in log:
+        real = getattr(reflection, name)
+
+        def counting(*args, _name=name, _real=real):
+            log[_name].append(args)
+            return _real(*args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("twocat.") and (
+                getattr(module, name, None) is real
+            ):
+                monkeypatch.setattr(module, name, counting)
+    return log
+
+
+def probe_count(cat):
+    return len(list(tc.enumerate_two_functors(tc.make_T(), tc.reflect(cat).reflected)))
+
+
+def reflections_of(cat, calls):
+    return sum(args[0] is cat for args in calls["reflect"])
+
+
+def components_of(cat, calls):
+    """Pullbacks of the unit of ``cat``, the only functor out of ``cat`` pulled back."""
+    return sum(args[0].source is cat for args in calls["pullback"])
+
+
+class TestEachCategoryIsReflectedOnce:
+    def test_semi_left_exactness(self, calls, gallery_objects):
+        cat = gallery_objects["v4"]
+        assert tc.check_semi_left_exact(cat)
+        assert reflections_of(cat, calls) == 1
+        assert components_of(cat, calls) == probe_count(cat) > 1
+
+    def test_stable_units_build_each_component_of_other_once(self, calls):
+        cat, _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
+        other = tc.make_v4()
+        assert tc.check_stable_units(cat, other)
+        assert reflections_of(cat, calls) == reflections_of(other, calls) == 1
+        assert components_of(cat, calls) == probe_count(cat) > 1
+        assert components_of(other, calls) == probe_count(other) > 1
+
+    @pytest.mark.parametrize("check", [tc.reflective_factor, tc.trivial_covering_oracle])
+    def test_reflected_square(self, calls, t_family, check):
+        fun = pick_functor(t_family[2], t_family[1], t1="t1", t2="t1")
+        check(fun)
+        assert reflections_of(fun.source, calls) == reflections_of(fun.target, calls) == 1
+
+
+class TestScale:
+    def test_semi_left_exactness_of_vh4(self):
+        start = time.perf_counter()
+        assert tc.check_semi_left_exact(tc.make_vh4())
+        # about 0.6 s on a 2-CPU machine; 21 s when each probe reflected vh4 again
+        assert time.perf_counter() - start < 10
