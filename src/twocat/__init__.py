@@ -76,7 +76,6 @@ from .limits import (
     terminal_functor,
 )
 from .reflection import (
-    GraphMorphism,
     ReflectionResult,
     check_semi_left_exact,
     check_stable_units,

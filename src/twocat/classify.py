@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .core import _bijectivity_witness, enumerate_two_functors
 from .limits import pullback
-from .reflection import _reflected_square, is_two_preorder
+from .reflection import _probe_object, _reflected_square, is_two_preorder
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,7 @@ def covering_oracle(fun):
     single-2-cell probe into its target and asks that each fiber product
     is a 2-preorder.
     """
-    from .gallery import make_T
-
-    probe = make_T()
+    probe = _probe_object()
     for phi in enumerate_two_functors(probe, fun.target):
         if not is_two_preorder(pullback(phi, fun).apex):
             return False

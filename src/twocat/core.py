@@ -2,8 +2,8 @@
 
 A 2-category is stored as explicit finite carriers (objects, 1-cells,
 2-cells) together with total composition tables.  Composable-pair sets are
-never stored; they are derived from the boundary maps on demand.  All values
-are immutable after construction and every operation is a pure function.
+never stored; they are derived from the boundary maps on demand.  Values are
+treated as immutable: no operation mutates its inputs.
 """
 
 from dataclasses import dataclass
@@ -282,48 +282,22 @@ def build_two_category(
     one_identity = dict(one_identity or {})
     two_identity = dict(two_identity or {})
 
-    for x in sorted(objects):
-        name = one_identity.get(x, f"id:{x}")
-        if name in one_cells:
-            if x not in one_identity and one_cells[name] != (x, x):
-                raise MalformedData(f"cell {name!r} is reserved for the identity of {x!r}")
-        else:
-            one_cells[name] = (x, x)
-        one_identity[x] = name
+    for below, cells, identity, prefix in (
+        (objects, one_cells, one_identity, "id:"),
+        (one_cells, two_cells, two_identity, "vid:"),
+    ):
+        for x in sorted(below):
+            name = identity.get(x, f"{prefix}{x}")
+            if name in cells:
+                if x not in identity and cells[name] != (x, x):
+                    raise MalformedData(f"cell {name!r} is reserved for the identity of {x!r}")
+            else:
+                cells[name] = (x, x)
+            identity[x] = name
 
-    for h in sorted(one_cells):
-        name = two_identity.get(h, f"vid:{h}")
-        if name in two_cells:
-            if h not in two_identity and two_cells[name] != (h, h):
-                raise MalformedData(f"cell {name!r} is reserved for the identity of {h!r}")
-        else:
-            two_cells[name] = (h, h)
-        two_identity[h] = name
-
-    one_compose = dict(one_compose or {})
-    for f in sorted(one_cells):
-        d, c = one_cells[f]
-        if d in one_identity:
-            one_compose.setdefault((f, one_identity[d]), f)
-        if c in one_identity:
-            one_compose.setdefault((one_identity[c], f), f)
-
-    vert_compose = dict(vert_compose or {})
-    horiz_compose = dict(horiz_compose or {})
-    for t in sorted(two_cells):
-        vd, vc = two_cells[t]
-        if vd in two_identity:
-            vert_compose.setdefault((t, two_identity[vd]), t)
-        if vc in two_identity:
-            vert_compose.setdefault((two_identity[vc], t), t)
-        ends = one_cells.get(vd)
-        if ends is None:
-            continue
-        hd, hc = ends
-        if hd in one_identity and one_identity[hd] in two_identity:
-            horiz_compose.setdefault((t, two_identity[one_identity[hd]]), t)
-        if hc in one_identity and one_identity[hc] in two_identity:
-            horiz_compose.setdefault((two_identity[one_identity[hc]], t), t)
+    tables = [dict(explicit or {}) for explicit in (one_compose, vert_compose, horiz_compose)]
+    _add_unit_rows(tables, one_cells, one_identity, two_cells, two_identity)
+    one_compose, vert_compose, horiz_compose = tables
 
     return TwoCategory(
         objects=objects,
@@ -335,6 +309,33 @@ def build_two_category(
         vert_compose=vert_compose,
         horiz_compose=horiz_compose,
     )
+
+
+def _add_unit_rows(tables, one_cells, one_identity, two_cells, two_identity):
+    """Add the rows the unit laws force to ``tables`` where they have none.
+
+    ``tables`` are the compose1, vcompose and hcompose dicts.  A row over
+    an identity that is not there is skipped.  Cells are visited in the
+    order their mappings list them; two forced rows share a pair only when
+    an identity is not a loop on its cell, and then the first one is kept.
+    """
+    one, vert, horiz = tables
+    for f, (d, c) in one_cells.items():
+        if d in one_identity:
+            one.setdefault((f, one_identity[d]), f)
+        if c in one_identity:
+            one.setdefault((one_identity[c], f), f)
+    he = {x: two_identity[e] for x, e in one_identity.items() if e in two_identity}
+    for t, (vd, vc) in two_cells.items():
+        if vd in two_identity:
+            vert.setdefault((t, two_identity[vd]), t)
+        if vc in two_identity:
+            vert.setdefault((two_identity[vc], t), t)
+        hd, hc = one_cells.get(vd, (None, None))
+        if hd in he:
+            horiz.setdefault((t, he[hd]), t)
+        if hc in he:
+            horiz.setdefault((he[hc], t), t)
 
 
 def assemble_two_category(graph, one_rule, vert_rule, horiz_rule):
@@ -665,13 +666,7 @@ def compose_two_functors(g, f):
 
 def functors_equal(f, g):
     """Identifier-level equality of two functors (same ends, same maps)."""
-    return (
-        f.source == g.source
-        and f.target == g.target
-        and f.f0 == g.f0
-        and f.f1 == g.f1
-        and f.f2 == g.f2
-    )
+    return f == g
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .core import (
 )
 from .errors import BudgetExceeded, CyclicPresentation, LawViolation, MalformedData
 from .limits import product, terminal
-from .reflection import connected_component, reflect
+from .reflection import _component, reflect
 
 
 @dataclass(frozen=True)
@@ -359,71 +359,47 @@ def make_h4_assoc():
 # descent covers
 # ---------------------------------------------------------------------------
 
-def _v4_leg(v4, v4_one_meta, v4_two_meta, base, triple):
-    """Project a copy of v4 onto a vertically composable triple of ``base``."""
-    c1, c2, c3 = triple
-    lane = [base.vdom(c1), base.vcod(c1), base.vcod(c2), base.vcod(c3)]
-    legs = [c1, c2, c3]
-    f0 = {"0": base.dom(lane[0]), "1": base.cod(lane[0])}
-    f1 = {}
-    for pid, path in v4_one_meta.items():
-        if not path:
-            f1[pid] = base.one_identity[f0[pid.split(":", 1)[1]]]
-        else:
-            f1[pid] = lane[int(path[0][1:]) - 1]
-    f2 = {}
-    for cid, (low, up) in v4_two_meta.items():
-        if not low:
-            obj = v4.two_cells[cid][0].split(":", 1)[1]
-            f2[cid] = base.two_identity[base.one_identity[f0[obj]]]
-            continue
-        i = int(low[0][1:]) - 1
-        j = int(up[0][1:]) - 1
-        acc = base.two_identity[lane[i]]
-        for step in range(i, j):
-            acc = base.vert_compose[(legs[step], acc)]
-        f2[cid] = acc
-    return TwoFunctor(source=v4, target=base, f0=f0, f1=f1, f2=f2)
+def _presented_functor(presentation, free, base, images):
+    """The functor out of a free 2-preorder sending its relations to ``images``.
 
-
-def _h4_leg(h4, h4_one_meta, h4_two_meta, base, triple):
-    """Project a copy of h4 onto a horizontally composable triple of ``base``."""
-    c1, c2, c3 = triple
-    legs = [c1, c2, c3]
-    f0 = {
-        "0": base.hdom(c1),
-        "1": base.hcod(c1),
-        "2": base.hcod(c2),
-        "3": base.hcod(c3),
-    }
-    gen_image = {}
-    for gap in range(3):
-        gen_image[f"t{gap}"] = base.vdom(legs[gap])
-        gen_image[f"b{gap}"] = base.vcod(legs[gap])
+    ``free`` is the 2-preorder on ``presentation`` with its path metadata.
+    A generator goes to the matching boundary of its relation's image, an
+    object to the ends of those, a path to the composite of its generators'
+    images, and ``low <= up`` to the horizontal composite of the vertical
+    chains of images from ``low[i]`` to ``up[i]``.
+    """
+    part, one_meta, two_meta = free
+    gens = presentation.generators
+    gen_image, step = {}, {}
+    for ((low,), (up,)), cell in zip(presentation.relations, images):
+        gen_image[low], gen_image[up] = base.two_cells[cell]
+        step[low] = (up, cell)
+    f0 = {}
+    for gen, image in gen_image.items():
+        f0[gens[gen][0]], f0[gens[gen][1]] = base.one_cells[image]
+    one_compose, vert_compose = base.one_compose, base.vert_compose
     f1 = {}
-    for pid, path in h4_one_meta.items():
+    for pid, path in one_meta.items():
         if not path:
-            f1[pid] = base.one_identity[f0[pid.split(":", 1)[1]]]
-        else:
-            acc = gen_image[path[0]]
-            for gen in path[1:]:
-                acc = base.one_compose[(gen_image[gen], acc)]
-            f1[pid] = acc
-    f2 = {}
-    for cid, (low, up) in h4_two_meta.items():
-        if not low:
-            obj = h4.two_cells[cid][0].split(":", 1)[1]
-            f2[cid] = base.two_identity[base.one_identity[f0[obj]]]
+            f1[pid] = base.one_identity[f0[part.one_cells[pid][0]]]
             continue
+        acc = gen_image[path[0]]
+        for gen in path[1:]:
+            acc = one_compose[(gen_image[gen], acc)]
+        f1[pid] = acc
+    f2 = {}
+    for cid, (low, up) in two_meta.items():
         acc = None
-        for gen_low, gen_up in zip(low, up):
-            if gen_low == gen_up:
-                step = base.two_identity[gen_image[gen_low]]
-            else:
-                step = legs[int(gen_low[1:])]
-            acc = step if acc is None else base.horiz_compose[(step, acc)]
-        f2[cid] = acc
-    return TwoFunctor(source=h4, target=base, f0=f0, f1=f1, f2=f2)
+        for gen, goal in zip(low, up):
+            chain = None
+            while gen != goal:
+                gen, cell = step[gen]
+                chain = cell if chain is None else vert_compose[(cell, chain)]
+            if chain is None:
+                chain = base.two_identity[gen_image[gen]]
+            acc = chain if acc is None else base.horiz_compose[(chain, acc)]
+        f2[cid] = base.two_identity[f1[part.two_cells[cid][0]]] if acc is None else acc
+    return TwoFunctor(source=part, target=base, f0=f0, f1=f1, f2=f2)
 
 
 def edm_summands(base):
@@ -436,15 +412,15 @@ def edm_summands(base):
     failures = validate_two_category(base).failures
     if failures:
         raise LawViolation(*next(iter(failures.items())))
-    v4, v4_one_meta, v4_two_meta = _free_two_preorder_with_meta(V4_PRESENTATION)
-    h4, h4_one_meta, h4_two_meta = _free_two_preorder_with_meta(H4_PRESENTATION)
     out = []
-    for c3, c2, c1 in base.vert_triples():
-        triple = (c1, c2, c3)
-        out.append(("v", triple, v4, _v4_leg(v4, v4_one_meta, v4_two_meta, base, triple)))
-    for c3, c2, c1 in base.horiz_triples():
-        triple = (c1, c2, c3)
-        out.append(("h", triple, h4, _h4_leg(h4, h4_one_meta, h4_two_meta, base, triple)))
+    for kind, presentation, triples in (
+        ("v", V4_PRESENTATION, base.vert_triples()),
+        ("h", H4_PRESENTATION, base.horiz_triples()),
+    ):
+        free = _free_two_preorder_with_meta(presentation)
+        for c3, c2, c1 in triples:
+            leg = _presented_functor(presentation, free, base, (c1, c2, c3))
+            out.append((kind, (c1, c2, c3), leg.source, leg))
     return out
 
 
@@ -520,9 +496,10 @@ def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
         elif op == "reflect":
             current = reflect(current).reflected
         else:
-            probes = list(enumerate_two_functors(probe, reflect(current).reflected))
+            unit = reflect(current).unit
+            probes = list(enumerate_two_functors(probe, unit.target))
             if probes:
-                candidate = connected_component(current, rng.choice(probes)).apex
+                candidate = _component(unit, rng.choice(probes)).apex
                 if _fits(candidate, budget):
                     current = candidate
     return current

@@ -11,7 +11,13 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import TwoCategory, TwoFunctor, TwoReflexiveGraph, assemble_two_category
+from .core import (
+    TwoCategory,
+    TwoFunctor,
+    TwoReflexiveGraph,
+    assemble_two_category,
+    build_two_category,
+)
 from .errors import MalformedData, MismatchedTarget
 
 
@@ -177,16 +183,7 @@ def pair_into_pullback(result, u, w):
 
 def terminal():
     """The one-object, one-1-cell, one-2-cell 2-category."""
-    return TwoCategory(
-        objects=frozenset({"pt"}),
-        one_cells={"id:pt": ("pt", "pt")},
-        one_identity={"pt": "id:pt"},
-        one_compose={("id:pt", "id:pt"): "id:pt"},
-        two_cells={"vid:id:pt": ("id:pt", "id:pt")},
-        two_identity={"id:pt": "vid:id:pt"},
-        vert_compose={("vid:id:pt", "vid:id:pt"): "vid:id:pt"},
-        horiz_compose={("vid:id:pt", "vid:id:pt"): "vid:id:pt"},
-    )
+    return build_two_category(("pt",), {}, {})
 
 
 def terminal_functor(cat, point=None):

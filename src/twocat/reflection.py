@@ -23,15 +23,6 @@ from .limits import fiber_product, pair_into_pullback, projections, pullback
 
 
 @dataclass(frozen=True)
-class GraphMorphism:
-    source: TwoReflexiveGraph
-    target: TwoReflexiveGraph
-    g0: dict
-    g1: dict
-    g2: dict
-
-
-@dataclass(frozen=True)
 class ReflectionResult:
     """Reflected 2-preorder, quotient unit, and the collapse fibers."""
 
@@ -42,13 +33,7 @@ class ReflectionResult:
 
 def is_two_preorder(cat):
     """Whether no two distinct 2-cells share both vertical boundaries."""
-    seen = set()
-    for t in cat.two_cells:
-        boundary = cat.two_cells[t]
-        if boundary in seen:
-            return False
-        seen.add(boundary)
-    return True
+    return len(set(cat.two_cells.values())) == len(cat.two_cells)
 
 
 def reflect(cat):
@@ -150,12 +135,13 @@ def underlying_two_graph(cat):
 
 
 def underlying_graph_morphism(fun):
-    return GraphMorphism(
+    """``fun`` as a :class:`TwoFunctor` between the underlying 2-graphs."""
+    return TwoFunctor(
         source=underlying_two_graph(fun.source),
         target=underlying_two_graph(fun.target),
-        g0=dict(fun.f0),
-        g1=dict(fun.f1),
-        g2=dict(fun.f2),
+        f0=dict(fun.f0),
+        f1=dict(fun.f1),
+        f2=dict(fun.f2),
     )
 
 
@@ -165,17 +151,17 @@ def validate_graph_morphism(mor):
     bad = []
     for u in sorted(src.one_cells):
         d, c = src.one_cells[u]
-        if tgt.one_cells[mor.g1[u]] != (mor.g0[d], mor.g0[c]):
+        if tgt.one_cells[mor.f1[u]] != (mor.f0[d], mor.f0[c]):
             bad.append(f"1-cell boundary not preserved at {u!r}")
     for x in sorted(src.objects):
-        if mor.g1[src.one_identity[x]] != tgt.one_identity[mor.g0[x]]:
+        if mor.f1[src.one_identity[x]] != tgt.one_identity[mor.f0[x]]:
             bad.append(f"identity 1-cell not preserved at {x!r}")
     for t in sorted(src.two_cells):
         vd, vc = src.two_cells[t]
-        if tgt.two_cells[mor.g2[t]] != (mor.g1[vd], mor.g1[vc]):
+        if tgt.two_cells[mor.f2[t]] != (mor.f1[vd], mor.f1[vc]):
             bad.append(f"2-cell boundary not preserved at {t!r}")
     for h in sorted(src.one_cells):
-        if mor.g2[src.two_identity[h]] != tgt.two_identity[mor.g1[h]]:
+        if mor.f2[src.two_identity[h]] != tgt.two_identity[mor.f1[h]]:
             bad.append(f"identity 2-cell not preserved at {h!r}")
     return bad
 
@@ -183,9 +169,9 @@ def validate_graph_morphism(mor):
 def in_class_E(mor):
     """Bijective on objects and 1-cells, surjective on 2-cells."""
     return (
-        _bijectivity_witness(mor.g0, mor.target.objects) is None
-        and _bijectivity_witness(mor.g1, mor.target.one_cells) is None
-        and set(mor.g2.values()) == set(mor.target.two_cells)
+        _bijectivity_witness(mor.f0, mor.target.objects) is None
+        and _bijectivity_witness(mor.f1, mor.target.one_cells) is None
+        and set(mor.f2.values()) == set(mor.target.two_cells)
     )
 
 
@@ -193,9 +179,9 @@ def graph_pullback(f, g):
     """Componentwise fiber product of graph morphisms with a common target."""
     if f.target != g.target:
         raise MismatchedTarget("graph pullback needs a common target")
-    apex, pairs, _ = fiber_product(f.source, g.source, (f.g0, f.g1, f.g2), (g.g0, g.g1, g.g2))
-    proj1 = GraphMorphism(apex, f.source, *projections(pairs, 0))
-    proj2 = GraphMorphism(apex, g.source, *projections(pairs, 1))
+    apex, pairs, _ = fiber_product(f.source, g.source, (f.f0, f.f1, f.f2), (g.f0, g.f1, g.f2))
+    proj1 = TwoFunctor(apex, f.source, *projections(pairs, 0))
+    proj2 = TwoFunctor(apex, g.source, *projections(pairs, 1))
     return apex, proj1, proj2
 
 

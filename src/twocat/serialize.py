@@ -15,7 +15,7 @@ trailing newline, so print-parse-print is byte stable.
 import json
 from json.encoder import encode_basestring_ascii
 
-from .core import TwoCategory, TwoFunctor, build_two_category, check_well_formed
+from .core import TwoCategory, TwoFunctor, _add_unit_rows, build_two_category, check_well_formed
 from .errors import MalformedData
 
 
@@ -47,22 +47,8 @@ def _layout(value, newline):
 
 def category_to_document(cat):
     """Canonical document for a 2-category; unit-forced rows are left out."""
-    unit_one = set()
-    for f in cat.one_cells:
-        d, c = cat.one_cells[f]
-        unit_one.add((f, cat.one_identity[d]))
-        unit_one.add((cat.one_identity[c], f))
-    unit_two_v = set()
-    unit_two_h = set()
-    for t in cat.two_cells:
-        vd, vc = cat.two_cells[t]
-        unit_two_v.add((t, cat.two_identity[vd]))
-        unit_two_v.add((cat.two_identity[vc], t))
-        he_dom = cat.two_identity[cat.one_identity[cat.hdom(t)]]
-        he_cod = cat.two_identity[cat.one_identity[cat.hcod(t)]]
-        unit_two_h.add((t, he_dom))
-        unit_two_h.add((he_cod, t))
-
+    unit_one, unit_two_v, unit_two_h = unit_rows = {}, {}, {}
+    _add_unit_rows(unit_rows, cat.one_cells, cat.one_identity, cat.two_cells, cat.two_identity)
     return {
         "objects": sorted(cat.objects),
         "one_cells": [

@@ -32,6 +32,12 @@ def reference():
         sys.dont_write_bytecode, sys.path[:] = saved
 
 
+@pytest.fixture(scope="module")
+def reference_serialize(reference):
+    """The pinned reference package's document reader and writer."""
+    return importlib.import_module("twocat_ref.serialize")
+
+
 def reference_category(reference, cat):
     """``cat`` rebuilt from the reference package's own carrier type."""
     return reference.TwoCategory(

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import twocat as tc
+from twocat import serialize
 from twocat.cli import main
 from twocat.serialize import (
     category_to_document,
@@ -18,7 +21,7 @@ from twocat.serialize import (
     to_document,
 )
 
-from conftest import law_breaking_document, pick_functor
+from conftest import law_breaking_document, pick_functor, reference_category, seeded_functor
 
 GALLERY_NAMES = ("T", "T0", "T3", "v4", "h4", "vh4", "h4na", "terminal")
 
@@ -322,3 +325,96 @@ class TestDumpsMatchesTheStandardLibrary:
     @given(JSON_VALUES)
     def test_nested_json_values(self, value):
         assert dumps(value) == standard_dumps(value)
+
+
+@functools.lru_cache(maxsize=None)
+def document_corpus():
+    """Gallery objects, random instances and what the constructions return."""
+    cats = {name: tc.gallery.by_name(name) for name in GALLERY_NAMES}
+    cats.update((f"random{seed}", tc.random_instance(seed)) for seed in range(40))
+    t_family = [tc.make_Tn(n) for n in range(4)]
+    funs = [pick_functor(t_family[2], t_family[1], t1="t1", t2="t1")]
+    funs += [seeded_functor(seed) for seed in range(10)]
+    cats["product"] = tc.product(t_family[1], t_family[2]).apex
+    for i, fun in enumerate(funs):
+        cats[f"pullback{i}"] = tc.pullback(fun, fun).apex
+        cats[f"reflection{i}"] = tc.reflect(fun.source).reflected
+        cats[f"reflective{i}"] = tc.reflective_factor(fun).middle
+        cats[f"monotone-light{i}"] = tc.monotone_light_factor(fun).middle
+    return cats
+
+
+def full_document(cat):
+    """The document of ``cat`` with the rows forced by the unit laws kept."""
+    doc = category_to_document(cat)
+    for key, table in (
+        ("compose1", cat.one_compose),
+        ("vcompose", cat.vert_compose),
+        ("hcompose", cat.horiz_compose),
+    ):
+        doc[key] = sorted([g, f, v] for (g, f), v in table.items())
+    return doc
+
+
+def parsed(module, doc):
+    """The fields of the category a serialize ``module`` reads, or its error."""
+    try:
+        cat = module.parse_document(dumps(doc))
+    except module.MalformedData as exc:
+        return "MalformedData", str(exc)
+    return {field.name: getattr(cat, field.name) for field in dataclasses.fields(cat)}
+
+
+def broken_documents():
+    """One malformed variant of the h4 document per kind of ingest error."""
+    cat = tc.make_h4()
+    g, f = next(
+        (g, f) for f in sorted(cat.one_cells) for g in sorted(cat.one_cells)
+        if cat.dom(g) != cat.cod(f)
+    )
+    edits = {
+        "unknown endpoint": lambda doc: doc["one_cells"][0].update(dom="nowhere"),
+        "unknown boundary": lambda doc: doc["two_cells"][0].update(vdom="nothing"),
+        "non-composable row": lambda doc: doc["compose1"].append([g, f, g]),
+        "missing row": lambda doc: doc["compose1"].pop(0),
+    }
+    out = {}
+    for name, edit in edits.items():
+        doc = category_to_document(cat)
+        edit(doc)
+        out[name] = doc
+    return out
+
+
+class TestDocumentsMatchTheReference:
+    """Writing and reading documents agrees with the pinned reference."""
+
+    def test_written_documents(self, reference, reference_serialize):
+        for name, cat in document_corpus().items():
+            twin = reference_category(reference, cat)
+            assert category_to_document(cat) == reference_serialize.category_to_document(twin), name
+
+    def test_unit_rows_and_identity_fields_may_be_left_out(self, reference_serialize):
+        for name, cat in document_corpus().items():
+            doc, full = category_to_document(cat), full_document(cat)
+            variants = [doc, full]
+            for keys in (("one_identity",), ("two_identity",), ("one_identity", "two_identity")):
+                variants.append({k: v for k, v in doc.items() if k not in keys})
+            if len(cat.two_cells) <= 16:
+                for key in ("compose1", "vcompose", "hcompose"):
+                    for row in full[key]:
+                        if row not in doc[key]:
+                            variants.append(dict(full, **{key: [r for r in full[key] if r != row]}))
+            for variant in variants:
+                assert parsed(serialize, variant) == parsed(reference_serialize, variant), name
+            assert parse_document(dumps(doc)) == parse_document(dumps(full)) == cat, name
+
+    @pytest.mark.parametrize("name", sorted(broken_documents()))
+    def test_malformed_documents(self, name, reference_serialize):
+        doc = broken_documents()[name]
+        with pytest.raises(tc.MalformedData) as caught:
+            parse_document(dumps(doc))
+        assert parsed(reference_serialize, doc) == (
+            "MalformedData",
+            str(caught.value),
+        )

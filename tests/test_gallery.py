@@ -7,7 +7,12 @@ import twocat as tc
 from twocat.gallery import TwoGraphPresentation, by_name
 from twocat.serialize import parse_document
 
-from conftest import brute_horizontal_triples, brute_vertical_triples, law_breaking_document
+from conftest import (
+    brute_horizontal_triples,
+    brute_vertical_triples,
+    law_breaking_document,
+    reference_category,
+)
 
 
 class TestProbeFamily:
@@ -203,6 +208,42 @@ class TestDescentCover:
             assert tc.validate_two_category(apex).all_pass
 
 
+#: Bases whose descent covers are pinned against the reference.
+COVER_BASES = {
+    "T": tc.make_T,
+    "T3": lambda: tc.make_Tn(3),
+    "v4": tc.make_v4,
+    "h4": tc.make_h4,
+    "h4_assoc": tc.make_h4_assoc,
+}
+
+
+class TestCoversMatchTheReference:
+    """Each leg is the pinned reference's projection onto its triple."""
+
+    @pytest.mark.parametrize("name", sorted(COVER_BASES))
+    def test_summands(self, name, reference):
+        base = COVER_BASES[name]()
+        ours = tc.edm_summands(base)
+        theirs = reference.edm_summands(reference_category(reference, base))
+        assert [(kind, triple) for kind, triple, _, _ in ours] == [
+            (kind, triple) for kind, triple, _, _ in theirs
+        ]
+        for (_, _, part, leg), (_, _, twin_part, twin_leg) in zip(ours, theirs):
+            assert reference_category(reference, part) == twin_part
+            assert (leg.f0, leg.f1, leg.f2) == (twin_leg.f0, twin_leg.f1, twin_leg.f2)
+
+    @pytest.mark.parametrize("name", sorted(COVER_BASES))
+    def test_cover_and_projection_documents(self, name, reference, reference_serialize):
+        from twocat.serialize import category_to_document, functor_to_document
+
+        base = COVER_BASES[name]()
+        cover, p = tc.edm_cover(base)
+        twin_cover, twin_p = reference.edm_cover(reference_category(reference, base))
+        assert category_to_document(cover) == reference_serialize.category_to_document(twin_cover)
+        assert functor_to_document(p) == reference_serialize.functor_to_document(twin_p)
+
+
 class TestRandomInstances:
     @pytest.mark.parametrize("seed", range(10))
     def test_every_seed_validates(self, seed):
@@ -215,6 +256,13 @@ class TestRandomInstances:
             first = dumps(category_to_document(tc.random_instance(seed)))
             second = dumps(category_to_document(tc.random_instance(seed)))
             assert first == second
+
+    @pytest.mark.parametrize("budget", [(6, 24, 48), (4, 16, 32)])
+    def test_seeds_match_the_reference(self, budget, reference, reference_serialize):
+        to_document = reference_serialize.category_to_document
+        for seed in range(40):
+            ours = reference_category(reference, tc.random_instance(seed, *budget))
+            assert to_document(ours) == to_document(reference.random_instance(seed, *budget))
 
     def test_minimal_budget_forces_the_terminal_object(self):
         for seed in (0, 1, 9):

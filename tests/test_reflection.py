@@ -156,12 +156,12 @@ class TestClassE:
         unit_then = tc.identity_two_functor(t_family[1])
         g = tc.underlying_graph_morphism(unit2)
         gp = tc.underlying_graph_morphism(unit_then)
-        composite = tc.GraphMorphism(
+        composite = tc.TwoFunctor(
             source=g.source,
             target=gp.target,
-            g0={k: gp.g0[v] for k, v in g.g0.items()},
-            g1={k: gp.g1[v] for k, v in g.g1.items()},
-            g2={k: gp.g2[v] for k, v in g.g2.items()},
+            f0={k: gp.f0[v] for k, v in g.f0.items()},
+            f1={k: gp.f1[v] for k, v in g.f1.items()},
+            f2={k: gp.f2[v] for k, v in g.f2.items()},
         )
         assert tc.in_class_E(composite) and tc.in_class_E(g)
         assert tc.in_class_E(gp)
