@@ -3,8 +3,9 @@ edm-cover, gallery, iso.
 
 Documents are JSON files; ``-`` reads stdin.  Exit codes: 0 success,
 1 check failure (including law-breaking input that ``reflect``, ``factor``
-and ``edm-cover`` cannot build on), 2 malformed input, 3 search or budget
-cap exceeded.
+and ``edm-cover`` cannot build on), 2 malformed input (also text that is
+not UTF-8 or JSON nested too deeply to parse), 3 search or budget cap
+exceeded.
 """
 
 import argparse
@@ -31,12 +32,7 @@ from .errors import (
 from .factorize import monotone_light_factor, reflective_factor, verify_factorization
 from .limits import pullback
 from .reflection import reflect
-from .serialize import (
-    category_to_document,
-    dumps,
-    functor_to_document,
-    parse_document,
-)
+from .serialize import dumps, pairs, parse_document
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,12 +41,12 @@ EXIT_CAP = 3
 
 
 def _read(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedData(f"cannot read {path!r}: {exc}") from exc
 
 
@@ -95,11 +91,8 @@ def cmd_validate(args):
 
 def cmd_reflect(args):
     result = reflect(_load_category(args.file))
-    doc = {
-        "reflected": category_to_document(result.reflected),
-        "fibers": {name: sorted(members) for name, members in result.fibers.items()},
-    }
-    sys.stdout.write(dumps(doc))
+    fibers = {name: sorted(members) for name, members in result.fibers.items()}
+    sys.stdout.write(dumps({"reflected": result.reflected, "fibers": fibers}))
     return EXIT_OK
 
 
@@ -131,13 +124,8 @@ def cmd_factor(args):
     problems = verify_factorization(fun, fac)
     doc = {
         "system": fac.system,
-        "e": functor_to_document(fac.e),
-        "m": functor_to_document(fac.m),
-        "middle": category_to_document(fac.middle),
-        "certificates": {
-            "e": fac.certificates["e"].as_dict(),
-            "m": fac.certificates["m"].as_dict(),
-        },
+        "e": fac.e, "m": fac.m, "middle": fac.middle,
+        "certificates": {leg: report.as_dict() for leg, report in fac.certificates.items()},
         "violations": problems,
     }
     sys.stdout.write(dumps(doc))
@@ -148,12 +136,7 @@ def cmd_pullback(args):
     f = _load_functor(args.f)
     g = _load_functor(args.g)
     result = pullback(f, g)
-    doc = {
-        "apex": category_to_document(result.apex),
-        "proj1": functor_to_document(result.proj1),
-        "proj2": functor_to_document(result.proj2),
-    }
-    sys.stdout.write(dumps(doc))
+    sys.stdout.write(dumps({"apex": result.apex, "proj1": result.proj1, "proj2": result.proj2}))
     return EXIT_OK if validate_two_category(result.apex).all_pass else EXIT_CHECK_FAILED
 
 
@@ -162,8 +145,7 @@ def cmd_edm_cover(args):
     summands = gallery.edm_summands(base)
     cover, p = gallery.edm_cover(base, summands)
     doc = {
-        "cover": category_to_document(cover),
-        "p": functor_to_document(p),
+        "cover": cover, "p": p,
         "summands": {
             "vertical": sum(1 for kind, *_ in summands if kind == "v"),
             "horizontal": sum(1 for kind, *_ in summands if kind == "h"),
@@ -174,7 +156,7 @@ def cmd_edm_cover(args):
 
 
 def cmd_gallery(args):
-    sys.stdout.write(dumps(category_to_document(gallery.by_name(args.name))))
+    sys.stdout.write(dumps(gallery.by_name(args.name)))
     return EXIT_OK
 
 
@@ -185,12 +167,7 @@ def cmd_iso(args):
     if witness is None:
         print("not isomorphic")
         return EXIT_CHECK_FAILED
-    doc = {
-        "f0": sorted([k, v] for k, v in witness.f0.items()),
-        "f1": sorted([k, v] for k, v in witness.f1.items()),
-        "f2": sorted([k, v] for k, v in witness.f2.items()),
-    }
-    sys.stdout.write(dumps(doc))
+    sys.stdout.write(dumps({key: pairs(getattr(witness, key)) for key in ("f0", "f1", "f2")}))
     return EXIT_OK
 
 

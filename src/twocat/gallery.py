@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .core import (
     TwoFunctor,
@@ -447,17 +448,13 @@ def edm_cover(base, summands=None):
 # seeded random corpus
 # ---------------------------------------------------------------------------
 
+_BLOCK_MAKERS = (terminal, *(partial(make_Tn, n) for n in range(5)), make_v4, make_h4)
+
+
+@cache
 def _building_blocks():
-    return [
-        terminal(),
-        make_Tn(0),
-        make_T(),
-        make_Tn(2),
-        make_Tn(3),
-        make_Tn(4),
-        make_v4(),
-        make_h4(),
-    ]
+    """The blocks, built once per process; they are never handed out."""
+    return tuple(make() for make in _BLOCK_MAKERS)
 
 
 def _fits(cat, budget):
@@ -476,10 +473,11 @@ def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
     budget = (max_objects, max_one_cells, max_two_cells)
     rng = random.Random(seed)
     blocks = _building_blocks()
-    fitting = [c for c in blocks if _fits(c, budget)]
+    fitting = [i for i, c in enumerate(blocks) if _fits(c, budget)]
     if not fitting:
         raise BudgetExceeded(f"budget {budget} cannot hold the base blocks")
-    current = rng.choice(fitting)
+    start = rng.choice(fitting)
+    current = blocks[start]
     probe = make_T()
     for _ in range(rng.randint(0, 3)):
         op = rng.choice(("coproduct", "product", "reflect", "component"))
@@ -502,7 +500,8 @@ def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
                 candidate = _component(unit, rng.choice(probes)).apex
                 if _fits(candidate, budget):
                     current = candidate
-    return current
+    # carriers are mutable dicts, so an unchanged block goes out as a fresh copy
+    return _BLOCK_MAKERS[start]() if current is blocks[start] else current
 
 
 GALLERY_NAMES = ("T", "v4", "h4", "vh4", "h4na", "terminal")

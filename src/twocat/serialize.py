@@ -9,7 +9,9 @@ emitted) pin down identities whose names do not carry the reserved
 ``id:``/``vid:`` prefixes.  A functor document embeds its ``source`` and
 ``target`` and carries ``f0``/``f1``/``f2`` as ``[from, to]`` pairs.
 Printing is canonical: sorted arrays, sorted keys, two-space indent, one
-trailing newline, so print-parse-print is byte stable.
+trailing newline, so print-parse-print is byte stable.  :func:`dumps` also
+takes 2-categories and 2-functors and writes their documents straight from
+the carriers, without building the intermediate document.
 """
 
 import json
@@ -19,30 +21,96 @@ from .core import TwoCategory, TwoFunctor, _add_unit_rows, build_two_category, c
 from .errors import MalformedData
 
 
-def dumps(doc):
-    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+def dumps(value):
+    """The bytes of ``json.dumps(value, indent=2, sort_keys=True) + "\\n"``.
 
-    Keys must be strings.  The layout is done here because ``indent`` makes
-    the standard library use its pure-Python encoder, at twice the time.
+    Keys must be strings.  2-categories and 2-functors are written straight
+    from their carriers, without an intermediate document.  ``indent`` would
+    make the standard library use its pure-Python encoder, at twice the time.
     """
-    return _layout(doc, "\n") + "\n"
+    return _layout(value, "\n", {}) + "\n"
 
 
-def _layout(value, newline):
-    """The JSON text of ``value``, its inner lines indented below ``newline``."""
+def _layout(value, newline, memo):
+    """The JSON text of ``value``, its inner lines indented below ``newline``.
+
+    A 2-category is written at depth 0 once per call, into ``memo`` by
+    ``id``, and re-indented by a replace: encoded strings hold no raw
+    newline.
+    """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    inner = newline + "  "
     if isinstance(value, dict) and value:
-        inner = newline + "  "
-        body = ("," + inner).join(
-            [f"{encode_basestring_ascii(k)}: {_layout(value[k], inner)}" for k in sorted(value)]
-        )
+        body = ("," + inner).join([
+            f"{encode_basestring_ascii(k)}: {_layout(value[k], inner, memo)}"
+            for k in sorted(value)
+        ])
         return f"{{{inner}{body}{newline}}}"
     if isinstance(value, (list, tuple)) and value:
-        inner = newline + "  "
-        body = ("," + inner).join([_layout(item, inner) for item in value])
+        body = ("," + inner).join(
+            value if isinstance(value, _Rows) else [_layout(item, inner, memo) for item in value]
+        )
         return f"[{inner}{body}{newline}]"
+    if isinstance(value, TwoCategory):
+        if id(value) not in memo:
+            memo[id(value)] = _category_text(value)
+        return memo[id(value)].replace("\n", newline)
+    if isinstance(value, TwoFunctor):
+        maps = {key: _pair_rows(pairs(getattr(value, key)), inner) for key in ("f0", "f1", "f2")}
+        return _layout(dict(maps, source=value.source, target=value.target), newline, memo)
     return json.dumps(value)
+
+
+class _Rows(list):
+    """The item texts of a JSON array, written already."""
+
+
+def _pair_rows(items, newline):
+    """The texts of ``[x, y]`` id pairs, as items of an array closed at ``newline``."""
+    inner, end = newline + "    ", newline + "  "
+    return _Rows(
+        f"[{inner}{encode_basestring_ascii(x)},{inner}{encode_basestring_ascii(y)}{end}]"
+        for x, y in items
+    )
+
+
+def _category_text(cat):
+    """The depth-0 text of ``category_to_document(cat)``, written row by row."""
+    q = {x: encode_basestring_ascii(x) for x in (*cat.objects, *cat.one_cells, *cat.two_cells)}
+    field = "\n  "
+    unit_one, unit_two_v, unit_two_h = unit_rows = {}, {}, {}
+    _add_unit_rows(unit_rows, cat.one_cells, cat.one_identity, cat.two_cells, cat.two_identity)
+
+    def triples(table, unit):
+        return _Rows(
+            f"[\n      {q[g]},\n      {q[f]},\n      {q[table[g, f]]}\n    ]"
+            for g, f in sorted([key for key in table if key not in unit])
+        )
+
+    return _layout({
+        "compose1": triples(cat.one_compose, unit_one),
+        "hcompose": triples(cat.horiz_compose, unit_two_h),
+        "objects": _Rows(q[x] for x in sorted(cat.objects)),
+        "one_cells": _Rows(
+            f'{{\n      "cod": {q[c]},\n      "dom": {q[d]},\n      "id": {q[u]}\n    }}'
+            for u, (d, c) in sorted(cat.one_cells.items())
+        ),
+        "one_identity": _pair_rows([(x, cat.one_identity[x]) for x in sorted(cat.objects)], field),
+        "two_cells": _Rows(
+            f'{{\n      "id": {q[t]},\n      "vcod": {q[c]},\n      "vdom": {q[d]}\n    }}'
+            for t, (d, c) in sorted(cat.two_cells.items())
+        ),
+        "two_identity": _pair_rows(
+            [(h, cat.two_identity[h]) for h in sorted(cat.one_cells)], field
+        ),
+        "vcompose": triples(cat.vert_compose, unit_two_v),
+    }, "\n", None)
+
+
+def pairs(mapping):
+    """The ``(from, to)`` entries of a cell map in key order, as documents list them."""
+    return sorted(mapping.items())
 
 
 def category_to_document(cat):
@@ -179,7 +247,7 @@ def parse_document(text):
     """Parse JSON text into a 2-category or a 2-functor by shape."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedData(f"not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "f0" in doc:
         return document_to_functor(doc)

@@ -1,9 +1,12 @@
 import dataclasses
 import functools
+import importlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,18 @@ class TestLooseIngest:
     def test_validate_exits_two_with_one_error_line(self, tmp_path, capsys, name):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(self.DOCUMENTS[name]), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content", [b"[" * 100_000, b"\xff\xfe"], ids=["deeply-nested", "not-utf-8"],
+    )
+    def test_unreadable_bytes_exit_two_with_one_error_line(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
         assert main(["validate", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -264,6 +279,17 @@ def standard_dumps(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def as_documents(value):
+    """``value`` with every 2-category and 2-functor in it replaced by its document."""
+    if isinstance(value, (tc.TwoCategory, tc.TwoFunctor)):
+        return to_document(value)
+    if isinstance(value, dict):
+        return {key: as_documents(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_documents(item) for item in value]
+    return value
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda children: st.lists(children)
@@ -307,7 +333,7 @@ class TestDumpsMatchesTheStandardLibrary:
             assert main(argv) == 0
         assert len(printed) == len(commands)
         for doc in printed:
-            assert dumps(doc) == standard_dumps(doc)
+            assert dumps(doc) == standard_dumps(as_documents(doc))
 
     @pytest.mark.parametrize(
         "value",
@@ -328,20 +354,42 @@ class TestDumpsMatchesTheStandardLibrary:
 
 
 @functools.lru_cache(maxsize=None)
-def document_corpus():
-    """Gallery objects, random instances and what the constructions return."""
+def constructions():
+    """Gallery objects, random instances and what the constructions return.
+
+    Returns the 2-categories and the 2-functors, each by name.
+    """
     cats = {name: tc.gallery.by_name(name) for name in GALLERY_NAMES}
     cats.update((f"random{seed}", tc.random_instance(seed)) for seed in range(40))
     t_family = [tc.make_Tn(n) for n in range(4)]
     funs = [pick_functor(t_family[2], t_family[1], t1="t1", t2="t1")]
     funs += [seeded_functor(seed) for seed in range(10)]
     cats["product"] = tc.product(t_family[1], t_family[2]).apex
+    functors = {}
     for i, fun in enumerate(funs):
-        cats[f"pullback{i}"] = tc.pullback(fun, fun).apex
-        cats[f"reflection{i}"] = tc.reflect(fun.source).reflected
-        cats[f"reflective{i}"] = tc.reflective_factor(fun).middle
-        cats[f"monotone-light{i}"] = tc.monotone_light_factor(fun).middle
-    return cats
+        square = tc.pullback(fun, fun)
+        reflection = tc.reflect(fun.source)
+        reflective, monotone_light = tc.reflective_factor(fun), tc.monotone_light_factor(fun)
+        cats[f"pullback{i}"] = square.apex
+        cats[f"reflection{i}"] = reflection.reflected
+        cats[f"reflective{i}"] = reflective.middle
+        cats[f"monotone-light{i}"] = monotone_light.middle
+        functors.update({
+            f"functor{i}": fun,
+            f"proj1-{i}": square.proj1,
+            f"proj2-{i}": square.proj2,
+            f"unit{i}": reflection.unit,
+            f"reflective-e{i}": reflective.e,
+            f"reflective-m{i}": reflective.m,
+            f"monotone-light-e{i}": monotone_light.e,
+            f"monotone-light-m{i}": monotone_light.m,
+        })
+    return cats, functors
+
+
+def document_corpus():
+    """The 2-categories of :func:`constructions`, by name."""
+    return constructions()[0]
 
 
 def full_document(cat):
@@ -418,3 +466,125 @@ class TestDocumentsMatchTheReference:
             "MalformedData",
             str(caught.value),
         )
+
+
+#: Ids whose order differs from the order of their JSON escapes.
+AWKWARD_IDS = ('"x', "Ax", "\\", "é", "⇒", "𝔸", "\n", "\x7f")
+
+#: Names for the objects, 1-cells and 2-cells of T3, in document order; in
+#: each kind the raw order and the escaped order differ.
+AWKWARD_NAMES = (
+    AWKWARD_IDS[:2],
+    ("\\", "Ax1", "\n", "é"),
+    ('"x1', "⇒", "𝔸", "\x7f", "é1", "\\1", "Bx"),
+)
+
+
+def renamed(value, rename):
+    """A document with every string value (not key) mapped through ``rename``."""
+    if isinstance(value, str):
+        return rename[value]
+    if isinstance(value, dict):
+        return {key: renamed(item, rename) for key, item in value.items()}
+    return [renamed(item, rename) for item in value]
+
+
+class TestDumpsWritesModelsAsTheirDocuments:
+    """``dumps(x)`` is ``dumps(to_document(x))`` wherever ``x`` sits."""
+
+    def test_corpus_categories(self):
+        for name, cat in document_corpus().items():
+            assert dumps(cat) == dumps(to_document(cat)), name
+
+    def test_corpus_functors(self):
+        for name, fun in constructions()[1].items():
+            assert dumps(fun) == dumps(to_document(fun)), name
+
+    def test_empty_tables(self):
+        empty = tc.build_two_category(objects=[], one_cells={}, two_cells={})
+        for cat in (empty, tc.terminal()):
+            assert dumps(cat) == dumps(to_document(cat))
+        assert '"objects": []' in dumps(empty)
+        assert '"compose1": []' in dumps(tc.terminal())
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_nested_values(self, depth, t_family):
+        fun = pick_functor(t_family[2], t_family[1], t1="t1", t2="t1")
+        for value in (fun, fun.source, tc.make_v4()):
+            doc = value
+            for level in range(depth):
+                doc = [doc, "x"] if level % 2 else {"k": doc, "a": 1}
+            assert dumps(doc) == dumps(as_documents(doc))
+            assert dumps(doc) == standard_dumps(as_documents(doc))
+
+    def test_the_same_category_at_two_depths(self, t_family):
+        fun = pick_functor(t_family[2], t_family[1], t1="t1", t2="t1")
+        doc = {"cat": fun.source, "more": [{"again": fun.source, "fun": fun}]}
+        assert dumps(doc) == dumps(as_documents(doc))
+
+    def test_ids_that_need_escaping(self):
+        doc = category_to_document(tc.make_Tn(3))
+        kinds = [doc["objects"]]
+        kinds += [[row["id"] for row in doc[key]] for key in ("one_cells", "two_cells")]
+        rename = {}
+        for ids, names in zip(kinds, AWKWARD_NAMES):
+            assert sorted(names) != sorted(names, key=encode_basestring_ascii)
+            rename.update(zip(ids, names, strict=True))
+        assert set(AWKWARD_IDS) <= set(rename.values())
+        relabeled = parse_document(json.dumps(renamed(doc, rename)))
+        assert dumps(relabeled) == dumps(to_document(relabeled))
+        fun = tc.identity_two_functor(relabeled)
+        assert dumps([fun]) == dumps([to_document(fun)])
+
+
+#: Every subcommand the benchmark runs, with the files it reads by role.
+SUBCOMMANDS = (
+    ("gallery", "name"),
+    ("edm-cover", "base"),
+    ("validate", "cover"),
+    ("reflect", "cover"),
+    ("classify", "--oracle", "p"),
+    ("factor", "--system=monotone-light", "p"),
+    ("factor", "--system=reflective", "p"),
+    ("pullback", "p", "id"),
+    ("iso", "base", "base"),
+)
+
+
+@pytest.fixture(scope="module")
+def cover_files(tmp_path_factory):
+    """The base, its descent cover, the projection and the identity, on disk."""
+    paths = {}
+    for name in ("T", "T3"):
+        base = tc.gallery.by_name(name)
+        cover, p = tc.edm_cover(base)
+        roles = {"base": base, "cover": cover, "p": p, "id": tc.identity_two_functor(base)}
+        paths[name] = {"name": name}
+        for role, value in roles.items():
+            path = tmp_path_factory.mktemp(name) / f"{role}.json"
+            path.write_text(dumps(value), encoding="utf-8")
+            paths[name][role] = str(path)
+    return paths
+
+
+class TestSubcommandsMatchTheReference:
+    """Each subcommand prints the reference's bytes and exits with its code."""
+
+    @pytest.mark.parametrize("base", ["T", "T3"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS, ids=" ".join)
+    def test_same_exit_and_stdout(self, reference, cover_files, capsys, base, command):
+        argv = [cover_files[base].get(arg, arg) for arg in command]
+        ours = main(argv), capsys.readouterr().out
+        theirs = importlib.import_module("twocat_ref.cli").main(argv), capsys.readouterr().out
+        assert ours[0] == theirs[0]
+        assert first_difference(ours[1], theirs[1]) is None
+
+
+def first_difference(ours, theirs):
+    """The first line, numbered, on which two texts differ; ``None`` if none does.
+
+    A plain ``==`` on texts of megabytes makes the failure report diff them
+    whole, which takes minutes.
+    """
+    lines = itertools.zip_longest(ours.splitlines(), theirs.splitlines())
+    return next(((n, a, b) for n, (a, b) in enumerate(lines, 1) if a != b), None)

@@ -257,6 +257,14 @@ class TestRandomInstances:
             second = dumps(category_to_document(tc.random_instance(seed)))
             assert first == second
 
+    def test_an_unchanged_block_is_a_fresh_object_each_call(self):
+        # seed 2 draws the v4 block and no closure steps
+        first, second = tc.random_instance(2), tc.random_instance(2)
+        assert first == second == tc.make_v4()
+        assert first is not second
+        first.one_cells["extra"] = ("a", "a")
+        assert tc.random_instance(2) == second
+
     @pytest.mark.parametrize("budget", [(6, 24, 48), (4, 16, 32)])
     def test_seeds_match_the_reference(self, budget, reference, reference_serialize):
         to_document = reference_serialize.category_to_document
