@@ -65,40 +65,23 @@ class _Carriers:
     # -- derived pair sets --------------------------------------------------
     def one_pairs(self):
         """Composable 1-cell pairs ``(g, f)`` with ``dom g == cod f``."""
-        by_dom = self._ones_by_dom
-        for f in sorted(self.one_cells):
-            for g in by_dom.get(self.cod(f), ()):
-                yield g, f
+        return _chains(self.one_cells, self._ones_by_dom, self.cod, 2)
 
     def vert_pairs(self):
         """Vertically composable 2-cell pairs ``(b, a)``."""
-        by_vdom = self._twos_by_vdom
-        for a in sorted(self.two_cells):
-            for b in by_vdom.get(self.vcod(a), ()):
-                yield b, a
+        return _chains(self.two_cells, self._twos_by_vdom, self.vcod, 2)
 
     def horiz_pairs(self):
         """Horizontally composable 2-cell pairs ``(b, a)``."""
-        by_hdom = self._twos_by_hdom
-        for a in sorted(self.two_cells):
-            for b in by_hdom.get(self.hcod(a), ()):
-                yield b, a
+        return _chains(self.two_cells, self._twos_by_hdom, self.hcod, 2)
 
     def vert_triples(self):
         """Vertically composable triples ``(c3, c2, c1)``, c1 applied first."""
-        by_vdom = self._twos_by_vdom
-        for c1 in sorted(self.two_cells):
-            for c2 in by_vdom.get(self.vcod(c1), ()):
-                for c3 in by_vdom.get(self.vcod(c2), ()):
-                    yield c3, c2, c1
+        return _chains(self.two_cells, self._twos_by_vdom, self.vcod, 3)
 
     def horiz_triples(self):
         """Horizontally composable triples ``(c3, c2, c1)``, c1 applied first."""
-        by_hdom = self._twos_by_hdom
-        for c1 in sorted(self.two_cells):
-            for c2 in by_hdom.get(self.hcod(c1), ()):
-                for c3 in by_hdom.get(self.hcod(c2), ()):
-                    yield c3, c2, c1
+        return _chains(self.two_cells, self._twos_by_hdom, self.hcod, 3)
 
     def horiz_vert_pairs(self):
         """Horizontally composable pairs of vertically composable pairs.
@@ -140,6 +123,19 @@ class _Carriers:
 
     def carrier_sizes(self):
         return len(self.objects), len(self.one_cells), len(self.two_cells)
+
+
+def _chains(cells, by_start, end, length):
+    """Composable pairs ``(g, f)``, or triples ``(h, g, f)`` if ``length`` is 3.
+
+    ``f`` is applied first.  ``by_start`` groups the cells by where they
+    start and ``end`` says where a cell ends.  Chains come in identifier
+    order of ``f``, then ``g``, then ``h``; the walk is lazy.
+    """
+    chains = ((g, f) for f in sorted(cells) for g in by_start.get(end(f), ()))
+    if length == 3:
+        chains = ((h, g, f) for g, f in chains for h in by_start.get(end(g), ()))
+    return chains
 
 
 def _group(cells, key):
@@ -235,7 +231,10 @@ class AxiomReport:
 
 @dataclass(frozen=True)
 class SearchCaps:
-    """Carrier-size ceiling for exhaustive isomorphism search."""
+    """Carrier-size ceiling for exhaustive isomorphism search.
+
+    ``random_instance`` reads its size budget through :meth:`admits` too.
+    """
 
     max_objects: int = 10
     max_one_cells: int = 32
@@ -376,25 +375,21 @@ def check_well_formed(cat):
     total, and each composition table is keyed by exactly the derived set of
     composable pairs.  The algebraic laws are not checked here.
     """
-    objs = cat.objects
-    for u, (d, c) in cat.one_cells.items():
-        if d not in objs or c not in objs:
-            raise MalformedData(f"1-cell {u!r} has unknown endpoint {d!r} or {c!r}")
-    if set(cat.one_identity) != set(objs):
-        missing = set(objs) ^ set(cat.one_identity)
-        raise MalformedData(f"one_identity is not total on objects: {sorted(missing)}")
-    for x, u in cat.one_identity.items():
-        if u not in cat.one_cells:
-            raise MalformedData(f"identity of {x!r} is unknown 1-cell {u!r}")
-    for t, (vd, vc) in cat.two_cells.items():
-        if vd not in cat.one_cells or vc not in cat.one_cells:
-            raise MalformedData(f"2-cell {t!r} has unknown boundary {vd!r} or {vc!r}")
-    if set(cat.two_identity) != set(cat.one_cells):
-        missing = set(cat.one_cells) ^ set(cat.two_identity)
-        raise MalformedData(f"two_identity is not total on 1-cells: {sorted(missing)}")
-    for h, t in cat.two_identity.items():
-        if t not in cat.two_cells:
-            raise MalformedData(f"identity of {h!r} is unknown 2-cell {t!r}")
+    for kind, ends, cells, below_kind, below, name, identity in (
+        ("1-cell", "endpoint", cat.one_cells, "objects", cat.objects,
+         "one_identity", cat.one_identity),
+        ("2-cell", "boundary", cat.two_cells, "1-cells", cat.one_cells,
+         "two_identity", cat.two_identity),
+    ):
+        for u, (d, c) in cells.items():
+            if d not in below or c not in below:
+                raise MalformedData(f"{kind} {u!r} has unknown {ends} {d!r} or {c!r}")
+        if set(identity) != set(below):
+            missing = set(below) ^ set(identity)
+            raise MalformedData(f"{name} is not total on {below_kind}: {sorted(missing)}")
+        for x, u in identity.items():
+            if u not in cells:
+                raise MalformedData(f"identity of {x!r} is unknown {kind} {u!r}")
 
     _check_table(cat.one_compose, set(cat.one_pairs()), cat.one_cells, "compose1")
     _check_table(cat.vert_compose, set(cat.vert_pairs()), cat.two_cells, "vcompose")
@@ -441,28 +436,10 @@ def validate_two_category(cat):
             ex("parallelism", t)
             break
 
-    # boundary of composites
-    for g, f in cat.one_pairs():
-        gf = cat.one_compose[(g, f)]
-        if cat.dom(gf) != cat.dom(f) or cat.cod(gf) != cat.cod(g):
-            ex("boundary", g, f)
-            break
-    else:
-        for b, a in cat.vert_pairs():
-            ba = cat.vert_compose[(b, a)]
-            if cat.vdom(ba) != cat.vdom(a) or cat.vcod(ba) != cat.vcod(b):
-                ex("boundary", b, a)
-                break
-        else:
-            for b, a in cat.horiz_pairs():
-                ba = cat.horiz_compose[(b, a)]
-                want = (
-                    cat.one_compose.get((cat.vdom(b), cat.vdom(a))),
-                    cat.one_compose.get((cat.vcod(b), cat.vcod(a))),
-                )
-                if cat.two_cells[ba] != want:
-                    ex("boundary", b, a)
-                    break
+    # boundary of composites, reporting only the first level that fails
+    bad = next(_boundary_failures(cat), None)
+    if bad is not None:
+        ex("boundary", *bad)
 
     _unit_laws(cat, ex)
     _assoc_law(cat.one_cells, cat.one_compose, "1-assoc", ex)
@@ -480,32 +457,40 @@ def validate_two_category(cat):
     return AxiomReport(failures)
 
 
-def _unit_laws(cat, ex):
-    for x in sorted(cat.objects):
-        e = cat.one_identity[x]
-        if cat.one_cells[e] != (x, x):
-            ex("1-unit", x)
-            break
-    else:
-        for f in sorted(cat.one_cells):
-            left = cat.one_compose.get((cat.one_identity[cat.cod(f)], f))
-            right = cat.one_compose.get((f, cat.one_identity[cat.dom(f)]))
-            if left != f or right != f:
-                ex("1-unit", f)
-                break
+def _boundary_failures(cat):
+    """Composable pairs whose composite has the wrong boundary, level by level."""
+    for cells, pairs, table in (
+        (cat.one_cells, cat.one_pairs, cat.one_compose),
+        (cat.two_cells, cat.vert_pairs, cat.vert_compose),
+    ):
+        for g, f in pairs():
+            ends = cells[table[(g, f)]]
+            if ends[0] != cells[f][0] or ends[1] != cells[g][1]:
+                yield g, f
+    for b, a in cat.horiz_pairs():
+        want = (
+            cat.one_compose.get((cat.vdom(b), cat.vdom(a))),
+            cat.one_compose.get((cat.vcod(b), cat.vcod(a))),
+        )
+        if cat.two_cells[cat.horiz_compose[(b, a)]] != want:
+            yield b, a
 
-    for h in sorted(cat.one_cells):
-        ve = cat.two_identity[h]
-        if cat.two_cells[ve] != (h, h):
-            ex("v-unit", h)
-            break
-    else:
-        for t in sorted(cat.two_cells):
-            left = cat.vert_compose.get((cat.two_identity[cat.vcod(t)], t))
-            right = cat.vert_compose.get((t, cat.two_identity[cat.vdom(t)]))
-            if left != t or right != t:
-                ex("v-unit", t)
+
+def _unit_laws(cat, ex):
+    for law, below, cells, identity, table in (
+        ("1-unit", cat.objects, cat.one_cells, cat.one_identity, cat.one_compose),
+        ("v-unit", cat.one_cells, cat.two_cells, cat.two_identity, cat.vert_compose),
+    ):
+        for x in sorted(below):
+            if cells[identity[x]] != (x, x):
+                ex(law, x)
                 break
+        else:
+            for f in sorted(cells):
+                d, c = cells[f]
+                if table.get((identity[c], f)) != f or table.get((f, identity[d])) != f:
+                    ex(law, f)
+                    break
 
     for t in sorted(cat.two_cells):
         he_dom = cat.two_identity[cat.one_identity[cat.hdom(t)]]
@@ -567,51 +552,58 @@ def validate_two_functor(fun):
     violations citing the offending cells.
     """
     src, tgt = fun.source, fun.target
-    _check_map_total(fun.f0, src.objects, tgt.objects, "f0")
-    _check_map_total(fun.f1, src.one_cells, tgt.one_cells, "f1")
-    _check_map_total(fun.f2, src.two_cells, tgt.two_cells, "f2")
-
-    bad = []
-    for u in sorted(src.one_cells):
-        image = fun.f1[u]
-        if tgt.dom(image) != fun.f0[src.dom(u)]:
-            bad.append(f"dom not preserved at 1-cell {u!r}")
-        if tgt.cod(image) != fun.f0[src.cod(u)]:
-            bad.append(f"cod not preserved at 1-cell {u!r}")
-    for x in sorted(src.objects):
-        if fun.f1[src.one_identity[x]] != tgt.one_identity[fun.f0[x]]:
-            bad.append(f"identity 1-cell not preserved at object {x!r}")
-    for g, f in src.one_pairs():
-        want = tgt.one_compose.get((fun.f1[g], fun.f1[f]))
-        if fun.f1[src.one_compose[(g, f)]] != want or want is None:
-            bad.append(f"compose1 not preserved at ({g!r}, {f!r})")
-    for t in sorted(src.two_cells):
-        image = fun.f2[t]
-        if tgt.vdom(image) != fun.f1[src.vdom(t)]:
-            bad.append(f"vdom not preserved at 2-cell {t!r}")
-        if tgt.vcod(image) != fun.f1[src.vcod(t)]:
-            bad.append(f"vcod not preserved at 2-cell {t!r}")
-    for h in sorted(src.one_cells):
-        if fun.f2[src.two_identity[h]] != tgt.two_identity[fun.f1[h]]:
-            bad.append(f"identity 2-cell not preserved at 1-cell {h!r}")
-    for b, a in src.vert_pairs():
-        want = tgt.vert_compose.get((fun.f2[b], fun.f2[a]))
-        if fun.f2[src.vert_compose[(b, a)]] != want or want is None:
-            bad.append(f"vcompose not preserved at ({b!r}, {a!r})")
-    for b, a in src.horiz_pairs():
-        want = tgt.horiz_compose.get((fun.f2[b], fun.f2[a]))
-        if fun.f2[src.horiz_compose[(b, a)]] != want or want is None:
-            bad.append(f"hcompose not preserved at ({b!r}, {a!r})")
-    return bad
+    ones, twos = _graph_violations(fun)
+    for bad, m, pairs, table, image, name in (
+        (ones, fun.f1, src.one_pairs, src.one_compose, tgt.one_compose, "compose1"),
+        (twos, fun.f2, src.vert_pairs, src.vert_compose, tgt.vert_compose, "vcompose"),
+        (twos, fun.f2, src.horiz_pairs, src.horiz_compose, tgt.horiz_compose, "hcompose"),
+    ):
+        for g, f in pairs():
+            want = image.get((m[g], m[f]))
+            if m[table[(g, f)]] != want or want is None:
+                bad.append(f"{name} not preserved at ({g!r}, {f!r})")
+    return ones + twos
 
 
-def _check_map_total(mapping, domain, codomain, name):
-    if set(mapping) != set(domain):
-        missing = set(domain) ^ set(mapping)
-        raise MalformedData(f"{name} is not total: {sorted(missing)[:3]}")
-    for key, value in mapping.items():
-        if value not in codomain:
-            raise MalformedData(f"{name}[{key!r}] = {value!r} is not in the target")
+def _graph_violations(fun):
+    """The boundary and identity equations ``fun`` breaks, one list per level.
+
+    ``fun`` may also run between reflexive 2-graphs.  A map that is not
+    total, or that sends a cell outside the target, raises
+    :class:`MalformedData`.
+    """
+    src, tgt = fun.source, fun.target
+    for name, mapping, domain, codomain in (
+        ("f0", fun.f0, src.objects, tgt.objects),
+        ("f1", fun.f1, src.one_cells, tgt.one_cells),
+        ("f2", fun.f2, src.two_cells, tgt.two_cells),
+    ):
+        if set(mapping) != set(domain):
+            missing = set(domain) ^ set(mapping)
+            raise MalformedData(f"{name} is not total: {sorted(missing)[:3]}")
+        for key, value in mapping.items():
+            if value not in codomain:
+                raise MalformedData(f"{name}[{key!r}] = {value!r} is not in the target")
+
+    levels = []
+    for kind, dom, cod, below_kind, m, below, cells, images, identity, image_identity in (
+        ("1-cell", "dom", "cod", "object", fun.f1, fun.f0,
+         src.one_cells, tgt.one_cells, src.one_identity, tgt.one_identity),
+        ("2-cell", "vdom", "vcod", "1-cell", fun.f2, fun.f1,
+         src.two_cells, tgt.two_cells, src.two_identity, tgt.two_identity),
+    ):
+        bad = []
+        for u in sorted(cells):
+            (d, c), (image_d, image_c) = cells[u], images[m[u]]
+            if image_d != below[d]:
+                bad.append(f"{dom} not preserved at {kind} {u!r}")
+            if image_c != below[c]:
+                bad.append(f"{cod} not preserved at {kind} {u!r}")
+        for x in sorted(below):
+            if m[identity[x]] != image_identity[below[x]]:
+                bad.append(f"identity {kind} not preserved at {below_kind} {x!r}")
+        levels.append(bad)
+    return levels
 
 
 def _bijectivity_witness(mapping, codomain):
@@ -642,26 +634,17 @@ def vertical_hom(cat, h, k):
 
 
 def identity_two_functor(cat):
-    return TwoFunctor(
-        source=cat,
-        target=cat,
-        f0={x: x for x in cat.objects},
-        f1={u: u for u in cat.one_cells},
-        f2={t: t for t in cat.two_cells},
-    )
+    maps = ({c: c for c in cells} for cells in (cat.objects, cat.one_cells, cat.two_cells))
+    return TwoFunctor(cat, cat, *maps)
 
 
 def compose_two_functors(g, f):
     """The componentwise composite ``g . f``; ends must meet exactly."""
     if g.source != f.target:
         raise MismatchedBoundary("target of the first functor is not the source of the second")
-    return TwoFunctor(
-        source=f.source,
-        target=g.target,
-        f0={x: g.f0[v] for x, v in f.f0.items()},
-        f1={u: g.f1[v] for u, v in f.f1.items()},
-        f2={t: g.f2[v] for t, v in f.f2.items()},
-    )
+    levels = ((f.f0, g.f0), (f.f1, g.f1), (f.f2, g.f2))
+    maps = ({c: outer[v] for c, v in inner.items()} for inner, outer in levels)
+    return TwoFunctor(f.source, g.target, *maps)
 
 
 def functors_equal(f, g):
@@ -673,6 +656,13 @@ def functors_equal(f, g):
 # coproducts
 # ---------------------------------------------------------------------------
 
+#: The fields of a :class:`TwoCategory` by kind: the carriers with their
+#: boundaries, the identity maps and the composition tables.
+_BOUNDARIES = ("one_cells", "two_cells")
+_IDENTITIES = ("one_identity", "two_identity")
+_TABLES = ("one_compose", "vert_compose", "horiz_compose")
+
+
 def coproduct(parts):
     """Disjoint union of 2-categories; cells are tagged by part index.
 
@@ -680,57 +670,27 @@ def coproduct(parts):
     surjective and pairwise disjoint on carriers.
     """
     objects = set()
-    one_cells = {}
-    one_identity = {}
-    one_compose = {}
-    two_cells = {}
-    two_identity = {}
-    vert_compose = {}
-    horiz_compose = {}
-    injections = []
-
+    fields = {name: {} for name in (*_BOUNDARIES, *_IDENTITIES, *_TABLES)}
     for index, part in enumerate(parts):
         tag = f"{index}:".__add__
         objects.update(tag(x) for x in part.objects)
-        one_cells.update(
-            {tag(u): (tag(d), tag(c)) for u, (d, c) in part.one_cells.items()}
-        )
-        one_identity.update({tag(x): tag(u) for x, u in part.one_identity.items()})
-        one_compose.update(
-            {(tag(g), tag(f)): tag(v) for (g, f), v in part.one_compose.items()}
-        )
-        two_cells.update(
-            {tag(t): (tag(h), tag(k)) for t, (h, k) in part.two_cells.items()}
-        )
-        two_identity.update({tag(h): tag(t) for h, t in part.two_identity.items()})
-        vert_compose.update(
-            {(tag(b), tag(a)): tag(v) for (b, a), v in part.vert_compose.items()}
-        )
-        horiz_compose.update(
-            {(tag(b), tag(a)): tag(v) for (b, a), v in part.horiz_compose.items()}
-        )
+        for name in _BOUNDARIES:
+            fields[name].update(
+                {tag(u): (tag(d), tag(c)) for u, (d, c) in getattr(part, name).items()}
+            )
+        for name in _IDENTITIES:
+            fields[name].update({tag(x): tag(u) for x, u in getattr(part, name).items()})
+        for name in _TABLES:
+            fields[name].update(
+                {(tag(g), tag(f)): tag(v) for (g, f), v in getattr(part, name).items()}
+            )
 
-    union = TwoCategory(
-        objects=frozenset(objects),
-        one_cells=one_cells,
-        one_identity=one_identity,
-        one_compose=one_compose,
-        two_cells=two_cells,
-        two_identity=two_identity,
-        vert_compose=vert_compose,
-        horiz_compose=horiz_compose,
-    )
+    union = TwoCategory(objects=frozenset(objects), **fields)
+    injections = []
     for index, part in enumerate(parts):
         tag = f"{index}:".__add__
-        injections.append(
-            TwoFunctor(
-                source=part,
-                target=union,
-                f0={x: tag(x) for x in part.objects},
-                f1={u: tag(u) for u in part.one_cells},
-                f2={t: tag(t) for t in part.two_cells},
-            )
-        )
+        maps = ({c: tag(c) for c in cells} for cells in (part.objects, part.one_cells, part.two_cells))
+        injections.append(TwoFunctor(part, union, *maps))
     return union, injections
 
 
@@ -846,10 +806,7 @@ def enumerate_two_functors(source, target, *, bijective=False):
         return iter(pools[level].get((below[ends[0]], below[ends[1]]), ()))
 
     def functor():
-        return TwoFunctor(
-            source=source, target=target,
-            f0=dict(maps[0]), f1=dict(maps[1]), f2=dict(maps[2]),
-        )
+        return TwoFunctor(source, target, *map(dict, maps))
 
     if not arrive(0):
         return

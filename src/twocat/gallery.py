@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 from .core import (
+    SearchCaps,
     TwoFunctor,
     TwoReflexiveGraph,
     assemble_two_category,
@@ -457,11 +458,6 @@ def _building_blocks():
     return tuple(make() for make in _BLOCK_MAKERS)
 
 
-def _fits(cat, budget):
-    n0, n1, n2 = cat.carrier_sizes()
-    return n0 <= budget[0] and n1 <= budget[1] and n2 <= budget[2]
-
-
 def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
     """A valid 2-category built by a seeded sequence of closure operations.
 
@@ -471,9 +467,10 @@ def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
     structures.
     """
     budget = (max_objects, max_one_cells, max_two_cells)
+    fits = SearchCaps(*budget).admits
     rng = random.Random(seed)
     blocks = _building_blocks()
-    fitting = [i for i, c in enumerate(blocks) if _fits(c, budget)]
+    fitting = [i for i, c in enumerate(blocks) if fits(c)]
     if not fitting:
         raise BudgetExceeded(f"budget {budget} cannot hold the base blocks")
     start = rng.choice(fitting)
@@ -484,12 +481,12 @@ def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
         if op == "coproduct":
             other = rng.choice(blocks)
             candidate, _ = coproduct([current, other])
-            if _fits(candidate, budget):
+            if fits(candidate):
                 current = candidate
         elif op == "product":
             other = rng.choice(blocks[:6])
             candidate = product(current, other).apex
-            if _fits(candidate, budget):
+            if fits(candidate):
                 current = candidate
         elif op == "reflect":
             current = reflect(current).reflected
@@ -498,7 +495,7 @@ def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
             probes = list(enumerate_two_functors(probe, unit.target))
             if probes:
                 candidate = _component(unit, rng.choice(probes)).apex
-                if _fits(candidate, budget):
+                if fits(candidate):
                     current = candidate
     # carriers are mutable dicts, so an unchanged block goes out as a fresh copy
     return _BLOCK_MAKERS[start]() if current is blocks[start] else current

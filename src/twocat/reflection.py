@@ -15,6 +15,7 @@ from .core import (
     TwoFunctor,
     TwoReflexiveGraph,
     _bijectivity_witness,
+    _graph_violations,
     enumerate_two_functors,
     find_isomorphism,
 )
@@ -136,34 +137,18 @@ def underlying_two_graph(cat):
 
 def underlying_graph_morphism(fun):
     """``fun`` as a :class:`TwoFunctor` between the underlying 2-graphs."""
-    return TwoFunctor(
-        source=underlying_two_graph(fun.source),
-        target=underlying_two_graph(fun.target),
-        f0=dict(fun.f0),
-        f1=dict(fun.f1),
-        f2=dict(fun.f2),
-    )
+    ends = underlying_two_graph(fun.source), underlying_two_graph(fun.target)
+    return TwoFunctor(*ends, *map(dict, (fun.f0, fun.f1, fun.f2)))
 
 
 def validate_graph_morphism(mor):
-    """Violated boundary/identity equations of a graph morphism (empty = valid)."""
-    src, tgt = mor.source, mor.target
-    bad = []
-    for u in sorted(src.one_cells):
-        d, c = src.one_cells[u]
-        if tgt.one_cells[mor.f1[u]] != (mor.f0[d], mor.f0[c]):
-            bad.append(f"1-cell boundary not preserved at {u!r}")
-    for x in sorted(src.objects):
-        if mor.f1[src.one_identity[x]] != tgt.one_identity[mor.f0[x]]:
-            bad.append(f"identity 1-cell not preserved at {x!r}")
-    for t in sorted(src.two_cells):
-        vd, vc = src.two_cells[t]
-        if tgt.two_cells[mor.f2[t]] != (mor.f1[vd], mor.f1[vc]):
-            bad.append(f"2-cell boundary not preserved at {t!r}")
-    for h in sorted(src.one_cells):
-        if mor.f2[src.two_identity[h]] != tgt.two_identity[mor.f1[h]]:
-            bad.append(f"identity 2-cell not preserved at {h!r}")
-    return bad
+    """Violated boundary/identity equations of a graph morphism (empty = valid).
+
+    The graph half of :func:`validate_two_functor`, in its order and words;
+    a dangling map entry raises :class:`MalformedData`.
+    """
+    ones, twos = _graph_violations(mor)
+    return ones + twos
 
 
 def in_class_E(mor):

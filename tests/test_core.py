@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 import twocat as tc
 from twocat.core import build_two_category
 
-from conftest import identity_on_cells, pick_functor
+from conftest import identity_on_cells, on_reference, pick_functor, reference_category
 
 
 def assert_same_functors(ours, theirs):
@@ -118,6 +119,119 @@ class TestFunctorValidation:
         )
         with pytest.raises(tc.MalformedData):
             tc.validate_two_functor(broken)
+
+
+#: The gallery objects whose tables, identity maps and reflection units
+#: the kernel pins mutate.
+MUTATED = {"T2": lambda: tc.make_Tn(2), "v4": tc.make_v4, "h4na": tc.make_h4_na}
+
+#: The map fields of a 2-category, each with the carrier its values lie in.
+CATEGORY_MAPS = {
+    "one_identity": "one_cells",
+    "one_compose": "one_cells",
+    "two_identity": "two_cells",
+    "vert_compose": "two_cells",
+    "horiz_compose": "two_cells",
+}
+
+#: The maps of a 2-functor, each with the target carrier its values lie in.
+FUNCTOR_MAPS = {"f0": "objects", "f1": "one_cells", "f2": "two_cells"}
+
+
+def single_entry_mutations(owner, maps, carriers):
+    """Copies of ``owner`` with one entry of one of its ``maps`` changed.
+
+    Each entry is dropped, set to a name that is no cell, and set to each of
+    the next two cells after its value in identifier order of its carrier
+    (read from ``carriers``).
+    """
+    for field, carrier in maps.items():
+        mapping = getattr(owner, field)
+        cells = sorted(getattr(carriers, carrier))
+        for key, value in mapping.items():
+            at = cells.index(value)
+            others = {cells[(at + step) % len(cells)] for step in (1, 2)} - {value}
+            for new in (None, "?", *sorted(others)):
+                changed = dict(mapping)
+                if new is None:
+                    del changed[key]
+                else:
+                    changed[key] = new
+                yield dataclasses.replace(owner, **{field: changed})
+
+
+def boundary_mutations(cat):
+    """Copies of ``cat`` with one end of one 1-cell or 2-cell changed.
+
+    The end is set to a name that is no cell, or to the least cell below.
+    """
+    for field, below in (("one_cells", cat.objects), ("two_cells", cat.one_cells)):
+        cells = getattr(cat, field)
+        for u, (d, c) in cells.items():
+            for ends in ((d, "?"), ("?", c), (min(below), c)):
+                yield dataclasses.replace(cat, **{field: {**cells, u: ends}})
+
+
+def outcome(check, value, errors):
+    """What ``check(value)`` returns, or the name and text of the package
+    error (one of ``errors``) that it raises."""
+    try:
+        return check(value)
+    except errors as error:
+        return type(error).__name__, str(error)
+
+
+def law_failures(reference, cat):
+    """The failed laws of ``cat``, or its error text, equal to the reference's."""
+    ours = outcome(lambda c: tc.validate_two_category(c).failures, cat, tc.TwoCatError)
+    theirs = outcome(
+        lambda c: reference.validate_two_category(c).failures,
+        reference_category(reference, cat),
+        reference.TwoCatError,
+    )
+    assert ours == theirs, cat
+    return ours
+
+
+class TestKernelChecksMatchTheReference:
+    """Broken tables and maps get the reference's verdicts, texts and order."""
+
+    @pytest.mark.parametrize("name", sorted(MUTATED))
+    def test_category_mutations(self, name, reference):
+        cat = MUTATED[name]()
+        mutations = single_entry_mutations(cat, CATEGORY_MAPS, cat)
+        compared = 0
+        for broken in itertools.chain(mutations, boundary_mutations(cat)):
+            law_failures(reference, broken)
+            compared += 1
+        assert compared > 4 * len(cat.one_compose)
+
+    def test_one_cell_and_vertical_rows_broken_at_once(self, reference):
+        # the boundary law reports the first level that fails
+        cat = tc.make_Tn(2)
+        boundary_broken = 0
+        for first in single_entry_mutations(cat, {"one_compose": "one_cells"}, cat):
+            for broken in single_entry_mutations(first, {"vert_compose": "two_cells"}, cat):
+                failures = law_failures(reference, broken)
+                boundary_broken += isinstance(failures, dict) and "boundary" in failures
+        assert boundary_broken > 0
+
+    @pytest.mark.parametrize("name", sorted(MUTATED))
+    def test_unit_mutations(self, name, reference):
+        unit = tc.reflect(MUTATED[name]()).unit
+        levels_mixed = 0
+        for broken in single_entry_mutations(unit, FUNCTOR_MAPS, unit.target):
+            ours = outcome(tc.validate_two_functor, broken, tc.TwoCatError)
+            theirs = outcome(
+                reference.validate_two_functor,
+                on_reference(reference, broken),
+                reference.TwoCatError,
+            )
+            assert ours == theirs, (broken.f0, broken.f1, broken.f2)
+            kinds = {text.split()[0] for text in ours} if isinstance(ours, list) else set()
+            levels_mixed += {"compose1", "vdom"} <= kinds
+        # the order of the levels is pinned only where both levels fail
+        assert levels_mixed > 0
 
 
 class TestVerticalHom:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import sys
@@ -165,6 +166,42 @@ class TestClassE:
         )
         assert tc.in_class_E(composite) and tc.in_class_E(g)
         assert tc.in_class_E(gp)
+
+
+#: The first word of a ``validate_two_functor`` entry about a table.
+TABLE_CHECKS = ("compose1", "vcompose", "hcompose")
+
+
+class TestGraphMorphismCheck:
+    """``validate_graph_morphism`` is the graph half of ``validate_two_functor``."""
+
+    @pytest.fixture
+    def identity_on_T(self):
+        return tc.underlying_graph_morphism(tc.identity_two_functor(tc.make_T()))
+
+    def test_a_map_that_lacks_a_cell_is_malformed(self, identity_on_T):
+        f1 = {u: v for u, v in identity_on_T.f1.items() if u != "h"}
+        with pytest.raises(tc.MalformedData, match="f1 is not total"):
+            validate_graph_morphism(dataclasses.replace(identity_on_T, f1=f1))
+
+    def test_an_image_outside_the_target_is_malformed(self, identity_on_T):
+        f2 = {**identity_on_T.f2, "t1": "nope"}
+        with pytest.raises(tc.MalformedData, match="is not in the target"):
+            validate_graph_morphism(dataclasses.replace(identity_on_T, f2=f2))
+
+    def test_it_reports_what_the_functor_check_reports_off_the_tables(
+        self, corpus_functors
+    ):
+        swap = {"h": "h'", "h'": "h"}
+        broken = 0
+        for fun in corpus_functors:
+            for f1 in (fun.f1, {u: swap.get(v, v) for u, v in fun.f1.items()}):
+                variant = dataclasses.replace(fun, f1=f1)
+                violations = tc.validate_two_functor(variant)
+                graph = validate_graph_morphism(tc.underlying_graph_morphism(variant))
+                assert graph == [v for v in violations if v.split()[0] not in TABLE_CHECKS]
+                broken += bool(graph)
+        assert broken > 0
 
 
 class TestConnectedComponents:
