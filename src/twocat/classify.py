@@ -36,39 +36,21 @@ class ClassificationReport:
 def is_edm(fun, witness=None):
     """Surjectivity on vertically and horizontally composable 2-cell triples.
 
-    Triples range over all composable 2-cells, identities included, in
-    diagrammatic order internally; a missing triple is reported outermost
-    first (the last entry is applied first), prefixed with ``v`` or ``h``.
+    Triples range over all composable 2-cells, identities included: every
+    triple of the target must be the ``f2``-image of a triple of the
+    source.  The least missing triple is reported outermost first (the
+    last entry is applied first), prefixed with ``v`` or ``h``.
     """
-    src, tgt = fun.source, fun.target
-    fibers = {}
-    for t in sorted(src.two_cells):
-        fibers.setdefault(fun.f2[t], []).append(t)
-
-    def lifts(chain, step_src, step_tgt, prefix=None):
-        if not chain:
-            return True
-        for cell in fibers.get(chain[0], ()):
-            if prefix is not None and step_src(cell) != prefix:
-                continue
-            if lifts(chain[1:], step_src, step_tgt, step_tgt(cell)):
-                return True
-        return False
-
-    for kind, triples, src_start, src_end in (
-        ("v", tgt.vert_triples(), src.vdom, src.vcod),
-        ("h", tgt.horiz_triples(), src.hdom, src.hcod),
+    src, tgt, f2 = fun.source, fun.target, fun.f2
+    for kind, source_triples, target_triples in (
+        ("v", src.vert_triples, tgt.vert_triples),
+        ("h", src.horiz_triples, tgt.horiz_triples),
     ):
-        best = None
-        for c3, c2, c1 in triples:
-            if not lifts((c1, c2, c3), src_start, src_end):
-                if witness is None:
-                    return False
-                candidate = (c3, c2, c1)
-                if best is None or candidate < best:
-                    best = candidate
-        if best is not None:
-            witness.append((kind,) + best)
+        image = {(f2[c3], f2[c2], f2[c1]) for c3, c2, c1 in source_triples()}
+        least = min((t for t in target_triples() if t not in image), default=None)
+        if least:
+            if witness is not None:
+                witness.append((kind,) + least)
             return False
     return True
 

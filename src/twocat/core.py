@@ -87,15 +87,16 @@ class _Carriers:
         """Horizontally composable pairs of vertically composable pairs.
 
         Yields ``(left, right)`` with ``right`` applied first; both entries
-        are ``(b, a)`` pairs from :meth:`vert_pairs`.
+        are ``(b, a)`` pairs from :meth:`vert_pairs`, and the first cells
+        of the two form a pair from :meth:`horiz_pairs`.  The walk is lazy.
         """
-        pairs = sorted(self.vert_pairs())
-        by_hcod = {}
-        for pair in pairs:
-            by_hcod.setdefault(self.hcod(pair[1]), []).append(pair)
-        for left in pairs:
-            for right in by_hcod.get(self.hdom(left[1]), ()):
-                yield left, right
+        by_vdom = self._twos_by_vdom
+        return (
+            ((bp, ap), (b, a))
+            for ap, a in self.horiz_pairs()
+            for bp in by_vdom.get(self.vcod(ap), ())
+            for b in by_vdom.get(self.vcod(a), ())
+        )
 
     @cached_property
     def _ones_by_dom(self):
@@ -132,10 +133,14 @@ def _chains(cells, by_start, end, length):
     start and ``end`` says where a cell ends.  Chains come in identifier
     order of ``f``, then ``g``, then ``h``; the walk is lazy.
     """
-    chains = ((g, f) for f in sorted(cells) for g in by_start.get(end(f), ()))
-    if length == 3:
-        chains = ((h, g, f) for g, f in chains for h in by_start.get(end(g), ()))
-    return chains
+    if length == 2:
+        return ((g, f) for f in sorted(cells) for g in by_start.get(end(f), ()))
+    return (
+        (h, g, f)
+        for f in sorted(cells)
+        for g in by_start.get(end(f), ())
+        for h in by_start.get(end(g), ())
+    )
 
 
 def _group(cells, key):
@@ -375,6 +380,14 @@ def check_well_formed(cat):
     total, and each composition table is keyed by exactly the derived set of
     composable pairs.  The algebraic laws are not checked here.
     """
+    _check_carriers(cat)
+    _check_table(cat.one_compose, set(cat.one_pairs()), cat.one_cells, "compose1")
+    _check_table(cat.vert_compose, set(cat.vert_pairs()), cat.two_cells, "vcompose")
+    _check_table(cat.horiz_compose, set(cat.horiz_pairs()), cat.two_cells, "hcompose")
+
+
+def _check_carriers(cat):
+    """The boundary and identity checks of :func:`check_well_formed`, also on 2-graphs."""
     for kind, ends, cells, below_kind, below, name, identity in (
         ("1-cell", "endpoint", cat.one_cells, "objects", cat.objects,
          "one_identity", cat.one_identity),
@@ -390,10 +403,6 @@ def check_well_formed(cat):
         for x, u in identity.items():
             if u not in cells:
                 raise MalformedData(f"identity of {x!r} is unknown {kind} {u!r}")
-
-    _check_table(cat.one_compose, set(cat.one_pairs()), cat.one_cells, "compose1")
-    _check_table(cat.vert_compose, set(cat.vert_pairs()), cat.two_cells, "vcompose")
-    _check_table(cat.horiz_compose, set(cat.horiz_pairs()), cat.two_cells, "hcompose")
 
 
 def _check_table(table, domain, carrier, name):
@@ -442,9 +451,12 @@ def validate_two_category(cat):
         ex("boundary", *bad)
 
     _unit_laws(cat, ex)
-    _assoc_law(cat.one_cells, cat.one_compose, "1-assoc", ex)
-    _assoc_law(cat.two_cells, cat.vert_compose, "v-assoc", ex)
-    _assoc_law(cat.two_cells, cat.horiz_compose, "h-assoc", ex)
+    for law, triples, table in (
+        ("1-assoc", _chains(cat.one_cells, cat._ones_by_dom, cat.cod, 3), cat.one_compose),
+        ("v-assoc", cat.vert_triples(), cat.vert_compose),
+        ("h-assoc", cat.horiz_triples(), cat.horiz_compose),
+    ):
+        _assoc_law(triples, table, law, ex)
 
     # horizontal composite of vertical identities
     for k, h in cat.one_pairs():
@@ -502,42 +514,28 @@ def _unit_laws(cat, ex):
             break
 
 
-def _assoc_law(carrier, table, law, ex):
-    # c-major iteration makes the first hit the least (c, b, a) tuple; the
-    # table's keys are exactly the composable pairs, so a missing key is a
-    # composite with a corrupt boundary, which the boundary law reports
-    by_key = {}
-    for (g, f) in table:
-        by_key.setdefault(g, []).append(f)
-    for c in sorted(carrier):
-        for b in sorted(by_key.get(c, ())):
-            cb = table[(c, b)]
-            for a in sorted(by_key.get(b, ())):
-                ba = table[(b, a)]
-                lhs = table.get((c, ba))
-                rhs = table.get((cb, a))
-                if lhs is None or rhs is None:
-                    continue
-                if lhs != rhs:
-                    ex(law, c, b, a)
-                    return
+def _assoc_law(triples, table, law, ex):
+    # a composite with a corrupt boundary has no row; the boundary law reports it
+    get = table.get
+    least = min((
+        (c, b, a) for c, b, a in triples
+        if (lhs := get((c, table[b, a]))) != (rhs := get((table[c, b], a)))
+        and None not in (lhs, rhs)
+    ), default=None)
+    if least:
+        ex(law, *least)
 
 
 def _interchange_law(cat, ex):
-    vt = cat.vert_compose
-    ht = cat.horiz_compose
-    for (bp, ap), (b, a) in cat.horiz_vert_pairs():
-        lhs = ht.get((vt[(bp, ap)], vt[(b, a)]))
-        hb = ht.get((bp, b))
-        ha = ht.get((ap, a))
-        if hb is None or ha is None:
-            continue
-        rhs = vt.get((hb, ha))
-        if lhs is None or rhs is None:
-            continue
-        if lhs != rhs:
-            ex("interchange", bp, ap, b, a)
-            return
+    vt, ht = cat.vert_compose, cat.horiz_compose
+    least = min((
+        (bp, ap, b, a) for (bp, ap), (b, a) in cat.horiz_vert_pairs()
+        if (lhs := ht.get((vt[bp, ap], vt[b, a])))
+        != (rhs := vt.get((ht.get((bp, b)), ht[ap, a])))
+        and None not in (lhs, rhs)
+    ), default=None)
+    if least:
+        ex("interchange", *least)
 
 
 # ---------------------------------------------------------------------------
@@ -547,21 +545,25 @@ def _interchange_law(cat, ex):
 def validate_two_functor(fun):
     """Return the list of structure equations ``fun`` breaks (empty = valid).
 
-    Dangling identifiers in any of the three maps raise
-    :class:`MalformedData`; genuine non-commutation is reported as
-    violations citing the offending cells.
+    Dangling identifiers in any of the three maps, and ends that are not
+    well formed, raise :class:`MalformedData`; genuine non-commutation is
+    reported as violations citing the offending cells.
     """
     src, tgt = fun.source, fun.target
     ones, twos = _graph_violations(fun)
-    for bad, m, pairs, table, image, name in (
-        (ones, fun.f1, src.one_pairs, src.one_compose, tgt.one_compose, "compose1"),
-        (twos, fun.f2, src.vert_pairs, src.vert_compose, tgt.vert_compose, "vcompose"),
-        (twos, fun.f2, src.horiz_pairs, src.horiz_compose, tgt.horiz_compose, "hcompose"),
-    ):
-        for g, f in pairs():
-            want = image.get((m[g], m[f]))
-            if m[table[(g, f)]] != want or want is None:
-                bad.append(f"{name} not preserved at ({g!r}, {f!r})")
+    try:
+        for bad, m, pairs, table, image, name in (
+            (ones, fun.f1, src.one_pairs, src.one_compose, tgt.one_compose, "compose1"),
+            (twos, fun.f2, src.vert_pairs, src.vert_compose, tgt.vert_compose, "vcompose"),
+            (twos, fun.f2, src.horiz_pairs, src.horiz_compose, tgt.horiz_compose, "hcompose"),
+        ):
+            for g, f in pairs():
+                want = image.get((m[g], m[f]))
+                if m[table[(g, f)]] != want or want is None:
+                    bad.append(f"{name} not preserved at ({g!r}, {f!r})")
+    except KeyError:
+        check_well_formed(src)
+        raise
     return ones + twos
 
 
@@ -570,7 +572,8 @@ def _graph_violations(fun):
 
     ``fun`` may also run between reflexive 2-graphs.  A map that is not
     total, or that sends a cell outside the target, raises
-    :class:`MalformedData`.
+    :class:`MalformedData`, and so do ends whose boundaries or identities
+    name no cell.
     """
     src, tgt = fun.source, fun.target
     for name, mapping, domain, codomain in (
@@ -585,6 +588,8 @@ def _graph_violations(fun):
             if value not in codomain:
                 raise MalformedData(f"{name}[{key!r}] = {value!r} is not in the target")
 
+    _check_carriers(src)
+    _check_carriers(tgt)
     levels = []
     for kind, dom, cod, below_kind, m, below, cells, images, identity, image_identity in (
         ("1-cell", "dom", "cod", "object", fun.f1, fun.f0,

@@ -41,23 +41,28 @@ def _path_id(path, start):
 
 
 def _check_acyclic(presentation):
+    """Raise :class:`CyclicPresentation` on a cycle; the search keeps its own stack."""
     out_edges = {}
     for gen, (dom, cod) in presentation.generators.items():
         out_edges.setdefault(dom, []).append(cod)
     state = {}
-
-    def visit(node):
-        state[node] = "active"
-        for nxt in out_edges.get(node, ()):
-            if state.get(nxt) == "active":
-                raise CyclicPresentation(f"directed cycle through object {node!r}")
-            if nxt not in state:
-                visit(nxt)
-        state[node] = "done"
-
     for obj in presentation.objects:
-        if obj not in state:
-            visit(obj)
+        if obj in state:
+            continue
+        state[obj] = "active"
+        stack = [(obj, iter(out_edges.get(obj, ())))]
+        while stack:
+            node, edges = stack[-1]
+            for nxt in edges:
+                if state.get(nxt) == "active":
+                    raise CyclicPresentation(f"directed cycle through object {node!r}")
+                if nxt not in state:
+                    state[nxt] = "active"
+                    stack.append((nxt, iter(out_edges.get(nxt, ()))))
+                    break
+            else:
+                state[node] = "done"
+                stack.pop()
 
 
 def _enumerate_paths(presentation):
@@ -316,9 +321,7 @@ def _collapsed_h4(extra_cell):
         ("a13", "a01"): "a03x" if extra_cell else "a03",
     }
     he_cells = {f"vid:id:{x}" for x in objects}
-    by_boundary = {}
-    for cid, bounds in two_cells.items():
-        by_boundary.setdefault(bounds, []).append(cid)
+    by_boundary = graph._hom_index
 
     def horiz(key):
         b, a = key

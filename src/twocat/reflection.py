@@ -47,14 +47,10 @@ def reflect(cat):
     2-cells.  Law-breaking input on which the induced tables are not
     well defined raises :class:`LawViolation`.
     """
-    classes = {}
-    for t in sorted(cat.two_cells):
-        classes.setdefault(cat.two_cells[t], []).append(t)
+    classes = cat._hom_index
     name_of = {boundary: members[0] for boundary, members in classes.items()}
-
-    def cls(t):
-        return name_of[cat.two_cells[t]]
-
+    f2 = {t: name_of[boundary] for t, boundary in cat.two_cells.items()}
+    cls = f2.__getitem__
     reflected = TwoCategory(
         objects=cat.objects,
         one_cells=dict(cat.one_cells),
@@ -70,7 +66,7 @@ def reflect(cat):
         target=reflected,
         f0={x: x for x in cat.objects},
         f1={u: u for u in cat.one_cells},
-        f2={t: cls(t) for t in cat.two_cells},
+        f2=f2,
     )
     fibers = {
         name_of[boundary]: frozenset(members)

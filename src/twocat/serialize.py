@@ -152,10 +152,16 @@ def _expect(cond, message):
         raise MalformedData(message)
 
 
+def _listed(doc, key):
+    rows = doc.get(key, [])
+    _expect(isinstance(rows, list), f"the {key} field must be a list")
+    return rows
+
+
 def _cells(doc, key, first, second):
     # no _expect in the row loops: a message formatted per row costs more than the parse
     out = {}
-    for row in doc.get(key, ()):
+    for row in _listed(doc, key):
         if not (isinstance(row, dict) and {"id", first, second} <= row.keys()):
             raise MalformedData(f"{key} entries need id/{first}/{second}")
         cell, low, high = row["id"], row[first], row[second]
@@ -169,7 +175,7 @@ def _cells(doc, key, first, second):
 
 def _rows(doc, key):
     out = {}
-    for row in doc.get(key, ()):
+    for row in _listed(doc, key):
         if not (isinstance(row, list) and len(row) == 3):
             raise MalformedData(f"{key} rows are triples")
         g, f, v = row
@@ -182,7 +188,7 @@ def _rows(doc, key):
 
 def _pairs(doc, key):
     out = {}
-    for row in doc.get(key, ()):
+    for row in _listed(doc, key):
         if not (isinstance(row, list) and len(row) == 2):
             raise MalformedData(f"{key} entries are pairs")
         src, dst = row

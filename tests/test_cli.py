@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import functools
 import importlib
+import io
 import itertools
 import json
 import os
@@ -10,7 +12,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twocat as tc
@@ -134,6 +136,71 @@ class TestLooseIngest:
         doc["f0"][0][1] = 0
         with pytest.raises(tc.MalformedData, match="f0 entries are strings"):
             parse_document(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("f0",), 5), (("f1",), None), (("f2",), "t1"), (("source", "vcompose"), {"t1": "t1"})],
+        ids=["f0-int", "f1-null", "f2-string", "source-vcompose-object"],
+    )
+    def test_non_list_fields_exit_two_with_one_error_line(self, tmp_path, capsys, path, value):
+        doc = functor_to_document(tc.identity_two_functor(tc.make_T()))
+        *outer, key = path
+        functools.reduce(dict.__getitem__, outer, doc)[key] = value
+        file = tmp_path / "functor.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["classify", str(file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the {key} field must be a list\n"
+
+
+def _fuzz_cases():
+    """(document kind, field path) for every field of the T documents."""
+    category_fields = [(key,) for key in category_to_document(tc.make_T())]
+    functor_fields = [("source",), ("target",), ("f0",), ("f1",), ("f2",)] + [
+        (end, *field) for end in ("source", "target") for field in category_fields
+    ]
+    return [("category", p) for p in category_fields] + [("functor", p) for p in functor_fields]
+
+
+#: The subcommands that read each document kind, with ``{}`` for the file.
+FUZZED_COMMANDS = {
+    "category": (["validate", "{}"], ["reflect", "{}"], ["edm-cover", "{}"], ["iso", "{}", "{}"]),
+    "functor": (
+        ["classify", "--oracle", "{}"],
+        ["factor", "--system", "reflective", "{}"],
+        ["factor", "--system", "monotone-light", "{}"],
+        ["pullback", "{}", "{}"],
+    ),
+}
+
+
+class TestFuzzedFields:
+    """A field of a T document replaced by a value of the wrong JSON type."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        case=st.sampled_from(_fuzz_cases()),
+        value=st.sampled_from([7, None, "x", {"id": "h"}]),
+    )
+    def test_every_subcommand_ends_in_a_documented_exit(self, tmp_path_factory, case, value):
+        kind, path = case
+        T = tc.make_T()
+        doc = category_to_document(T) if kind == "category" else functor_to_document(
+            tc.identity_two_functor(T)
+        )
+        *outer, key = path
+        functools.reduce(dict.__getitem__, outer, doc)[key] = value
+        file = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        for command in FUZZED_COMMANDS[kind]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(file) if arg == "{}" else arg for arg in command])
+            assert code in (0, 1, 2, 3), command
+            assert "Traceback" not in err.getvalue(), command
+            if code == 0 and command[0] != "validate":
+                json.loads(out.getvalue())
 
 
 @pytest.fixture()

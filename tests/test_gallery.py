@@ -89,8 +89,16 @@ class TestFreeTwoPreorder:
             generators={"f": ("x", "y"), "g": ("y", "x")},
             relations=(),
         )
-        with pytest.raises(tc.CyclicPresentation):
-            tc.free_two_preorder(loop)
+        # a cycle longer than the interpreter's recursion limit
+        n = 1500
+        long_loop = TwoGraphPresentation(
+            objects=tuple(f"o{i}" for i in range(n)),
+            generators={f"g{i}": (f"o{i}", f"o{(i + 1) % n}") for i in range(n)},
+            relations=(),
+        )
+        for presentation, last in ((loop, "y"), (long_loop, f"o{n - 1}")):
+            with pytest.raises(tc.CyclicPresentation, match=f"through object '{last}'"):
+                tc.free_two_preorder(presentation)
 
     def test_relation_closure_properties(self):
         cat = tc.make_h4()

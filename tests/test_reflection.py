@@ -189,6 +189,20 @@ class TestGraphMorphismCheck:
         with pytest.raises(tc.MalformedData, match="is not in the target"):
             validate_graph_morphism(dataclasses.replace(identity_on_T, f2=f2))
 
+    def test_ends_that_are_not_well_formed_are_malformed(self):
+        fun = tc.identity_two_functor(tc.make_T())
+        fun.source.one_cells["h"] = ("a", "zz")
+        graph = tc.underlying_graph_morphism(fun)
+        for check, mor in ((tc.validate_two_functor, fun), (validate_graph_morphism, graph)):
+            with pytest.raises(tc.MalformedData, match="unknown endpoint 'a' or 'zz'"):
+                check(mor)
+
+    def test_a_source_missing_a_row_is_malformed(self):
+        fun = tc.identity_two_functor(tc.make_T())
+        del fun.source.vert_compose[("t1", "vid:h")]
+        with pytest.raises(tc.MalformedData, match="vcompose is missing the row"):
+            tc.validate_two_functor(fun)
+
     def test_it_reports_what_the_functor_check_reports_off_the_tables(
         self, corpus_functors
     ):
