@@ -70,7 +70,7 @@ def monotone_light_factor(fun):
     """
     src, tgt = fun.source, fun.target
     tagged = {t: (*src.two_cells[t], fun.f2[t]) for t in sorted(src.two_cells)}
-    _, (cells,) = encoder([list(dict.fromkeys(tagged.values()))], arity=3)
+    (cells,) = encoder([list(dict.fromkeys(tagged.values()))], arity=3)
     name = {tag: n for n, tag in cells.items()}
 
     def vert(key):

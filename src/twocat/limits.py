@@ -9,16 +9,9 @@ structures; only the expectations on the result differ.
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
-from .core import (
-    TwoCategory,
-    TwoFunctor,
-    TwoReflexiveGraph,
-    assemble_two_category,
-    build_two_category,
-)
-from .errors import MalformedData, MismatchedTarget
+from .core import TwoCategory, TwoFunctor, build_two_category
+from .errors import LawViolation, MalformedData, MismatchedTarget
 
 
 @dataclass(frozen=True)
@@ -26,17 +19,7 @@ class PullbackResult:
     apex: TwoCategory
     proj1: TwoFunctor
     proj2: TwoFunctor
-
-    @cached_property
-    def names(self):
-        """Per level, the apex cell over each pair: the projections inverted."""
-        return [
-            {(p1[n], p2[n]): n for n in p1}
-            for p1, p2 in zip(
-                (self.proj1.f0, self.proj1.f1, self.proj1.f2),
-                (self.proj2.f0, self.proj2.f1, self.proj2.f2),
-            )
-        ]
+    names: list  # per level, the apex cell over each pair
 
 
 @dataclass(frozen=True)
@@ -62,10 +45,10 @@ _PLAIN = {2: lambda x, y: f"({x}|{y})", 3: lambda h, k, b: f"({h}=>{k}|{b})"}
 def encoder(levels, arity=2):
     """Names for the tuples on each level: ``(x|y)``, or ``(h=>k|b)`` for arity 3.
 
-    Returns the encoding and, per level, a map from each name to its tuple.
-    Parts render as they are unless that gives two tuples of one level the
-    same name; then every name is encoded again with ``\\``, ``(``, ``)``,
-    ``|`` and ``=>`` backslash-escaped inside each part, which is injective.
+    Returns, per level, a map from each name to its tuple.  Parts render as
+    they are unless that gives two tuples of one level the same name; then
+    every name is encoded again with ``\\``, ``(``, ``)``, ``|`` and ``=>``
+    backslash-escaped inside each part, which is injective.
     """
     plain = _PLAIN[arity]
 
@@ -76,7 +59,7 @@ def encoder(levels, arity=2):
         named = [{encode(*cells): cells for cells in level} for level in levels]
         if all(len(names) == len(level) for names, level in zip(named, levels)):
             break
-    return encode, named
+    return named
 
 
 def _fiber(xs, ys, f, g):
@@ -91,9 +74,11 @@ def fiber_product(a, c, f, g):
     """Carrier-level fiber product of maps ``f: a -> z <- c: g`` of carriers.
 
     ``a`` and ``c`` are 2-reflexive graphs or 2-categories, and ``f`` and
-    ``g`` their ``(f0, f1, f2)`` carrier maps.  Returns the apex as a
-    :class:`TwoReflexiveGraph`, its pair maps (per level, apex cell ->
-    ``(x, y)``) and the encoding that named the cells.
+    ``g`` their ``(f0, f1, f2)`` carrier maps.  Returns the apex carriers
+    as keyword arguments of :class:`TwoReflexiveGraph` and, per level, the
+    apex cell over each pair ``(x, y)``.  Legs that break boundaries can
+    put the boundary or identity pair of an apex cell outside the fiber;
+    then :class:`MalformedData` names the least such cell.
     """
     levels = [
         _fiber(sorted(xs), sorted(ys), fm, gm)
@@ -101,32 +86,59 @@ def fiber_product(a, c, f, g):
             (a.objects, a.one_cells, a.two_cells), (c.objects, c.one_cells, c.two_cells), f, g
         )
     ]
-    name, pairs = encoder(levels)
-    objs, ones, twos = pairs
-    one_cells, two_identity = {}, {}
-    for n, (u, w) in ones.items():
-        (du, cu), (dw, cw) = a.one_cells[u], c.one_cells[w]
-        one_cells[n] = (name(du, dw), name(cu, cw))
-        two_identity[n] = name(a.two_identity[u], c.two_identity[w])
-    two_cells = {}
-    for n, (s, t) in twos.items():
-        (ds, cs), (dt, ct) = a.two_cells[s], c.two_cells[t]
-        two_cells[n] = (name(ds, dt), name(cs, ct))
-    apex = TwoReflexiveGraph(
-        objects=objs,
-        one_cells=one_cells,
-        one_identity={
-            n: name(a.one_identity[x], c.one_identity[y]) for n, (x, y) in objs.items()
-        },
-        two_cells=two_cells,
-        two_identity=two_identity,
-    )
-    return apex, pairs, name
+    names = [{pair: n for n, pair in level.items()} for level in encoder(levels)]
+    objs, ones, twos = names
+    try:
+        one_identity = {n: ones[a.one_identity[x], c.one_identity[y]] for (x, y), n in objs.items()}
+        one_cells, two_identity, two_cells = {}, {}, {}
+        for (u, w), n in ones.items():
+            (du, cu), (dw, cw) = a.one_cells[u], c.one_cells[w]
+            one_cells[n] = (objs[du, dw], objs[cu, cw])
+            two_identity[n] = twos[a.two_identity[u], c.two_identity[w]]
+        for (s, t), n in twos.items():
+            (ds, cs), (dt, ct) = a.two_cells[s], c.two_cells[t]
+            two_cells[n] = (ones[ds, dt], ones[cs, ct])
+    except KeyError:
+        needs = (  # per level, the pairs of an apex cell's boundary and identity, by index
+            lambda x, y: [(ones, (a.one_identity[x], c.one_identity[y]))],
+            lambda u, w: [*((objs, p) for p in zip(a.one_cells[u], c.one_cells[w])),
+                          (twos, (a.two_identity[u], c.two_identity[w]))],
+            lambda s, t: [(ones, p) for p in zip(a.two_cells[s], c.two_cells[t])],
+        )
+        least = min(
+            n for level, need in zip(names, needs) for (x, y), n in level.items()
+            if any(p not in index for index, p in need(x, y))
+        )
+        raise MalformedData(
+            f"the boundary or identity of apex cell {least!r} is outside the fiber"
+        ) from None
+    carriers = dict(objects=objs.values(), one_cells=one_cells, one_identity=one_identity,
+                    two_cells=two_cells, two_identity=two_identity)
+    return carriers, names
 
 
-def projections(pairs, side):
-    """The carrier maps of one projection out of a fiber product's pair maps."""
-    return [{n: pair[side] for n, pair in level.items()} for level in pairs]
+def _join(rows_a, rows_c, fm, gm, names):
+    """The apex table: a row per pair of rows whose ``(g, f)`` images agree.
+
+    A composite outside the fiber breaks the boundary law, and
+    :class:`LawViolation` names the least such apex pair.
+    """
+    by_image = {}
+    for (gc, fc), vc in rows_c.items():
+        by_image.setdefault((gm[gc], gm[fc]), []).append((gc, fc, vc))
+    table = {
+        (names[ga, gc], names[fa, fc]): names.get((va, vc))
+        for (ga, fa), va in rows_a.items()
+        for gc, fc, vc in by_image.get((fm[ga], fm[fa]), ())
+    }
+    if None in table.values():
+        raise LawViolation("boundary", min(k for k, v in table.items() if v is None))
+    return table
+
+
+def projections(names, side):
+    """The carrier maps of one projection out of a fiber product's pair names."""
+    return [{n: pair[side] for pair, n in level.items()} for level in names]
 
 
 def pullback(f, g):
@@ -139,25 +151,18 @@ def pullback(f, g):
     if f.target != g.target:
         raise MismatchedTarget("pullback needs morphisms into the same 2-category")
     a, c = f.source, g.source
-    graph, pairs, name = fiber_product(a, c, (f.f0, f.f1, f.f2), (g.f0, g.f1, g.f2))
-
-    def componentwise(cells, table_a, table_c):
-        def rule(key):
-            (ga, gc), (fa, fc) = cells[key[0]], cells[key[1]]
-            return name(table_a[(ga, fa)], table_c[(gc, fc)])
-
-        return rule
-
-    apex = assemble_two_category(
-        graph,
-        componentwise(pairs[1], a.one_compose, c.one_compose),
-        componentwise(pairs[2], a.vert_compose, c.vert_compose),
-        componentwise(pairs[2], a.horiz_compose, c.horiz_compose),
+    carriers, names = fiber_product(a, c, (f.f0, f.f1, f.f2), (g.f0, g.f1, g.f2))
+    apex = TwoCategory(
+        **carriers,
+        one_compose=_join(a.one_compose, c.one_compose, f.f1, g.f1, names[1]),
+        vert_compose=_join(a.vert_compose, c.vert_compose, f.f2, g.f2, names[2]),
+        horiz_compose=_join(a.horiz_compose, c.horiz_compose, f.f2, g.f2, names[2]),
     )
     return PullbackResult(
-        apex=apex,
-        proj1=TwoFunctor(apex, a, *projections(pairs, 0)),
-        proj2=TwoFunctor(apex, c, *projections(pairs, 1)),
+        apex,
+        TwoFunctor(apex, a, *projections(names, 0)),
+        TwoFunctor(apex, c, *projections(names, 1)),
+        names,
     )
 
 

@@ -102,10 +102,9 @@ def reflect_functor(fun):
 
 
 def _induced_functor(fun, src, tgt):
-    """``fun`` read between the reflections ``src`` and ``tgt`` of its ends."""
-    f2 = {}
-    for name, members in src.fibers.items():
-        f2[name] = tgt.unit.f2[fun.f2[next(iter(members))]]
+    """``fun`` read between the reflections ``src`` and ``tgt`` of its ends,
+    each class at the member it is named after, not at a hash-ordered one."""
+    f2 = {name: tgt.unit.f2[fun.f2[name]] for name in src.fibers}
     return TwoFunctor(src.reflected, tgt.reflected, dict(fun.f0), dict(fun.f1), f2)
 
 
@@ -160,9 +159,10 @@ def graph_pullback(f, g):
     """Componentwise fiber product of graph morphisms with a common target."""
     if f.target != g.target:
         raise MismatchedTarget("graph pullback needs a common target")
-    apex, pairs, _ = fiber_product(f.source, g.source, (f.f0, f.f1, f.f2), (g.f0, g.f1, g.f2))
-    proj1 = TwoFunctor(apex, f.source, *projections(pairs, 0))
-    proj2 = TwoFunctor(apex, g.source, *projections(pairs, 1))
+    carriers, names = fiber_product(f.source, g.source, (f.f0, f.f1, f.f2), (g.f0, g.f1, g.f2))
+    apex = TwoReflexiveGraph(**carriers)
+    proj1 = TwoFunctor(apex, f.source, *projections(names, 0))
+    proj2 = TwoFunctor(apex, g.source, *projections(names, 1))
     return apex, proj1, proj2
 
 

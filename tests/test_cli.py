@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twocat as tc
@@ -194,13 +194,75 @@ class TestFuzzedFields:
         file = tmp_path_factory.mktemp("fuzz") / "doc.json"
         file.write_text(json.dumps(doc), encoding="utf-8")
         for command in FUZZED_COMMANDS[kind]:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([str(file) if arg == "{}" else arg for arg in command])
+            code, out, err = _run(command, file)
             assert code in (0, 1, 2, 3), command
-            assert "Traceback" not in err.getvalue(), command
+            assert "Traceback" not in err, command
             if code == 0 and command[0] != "validate":
-                json.loads(out.getvalue())
+                json.loads(out)
+
+
+def _run(command, file):
+    """Exit code, stdout and stderr of ``command`` with ``{}`` read as ``file``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(file) if arg == "{}" else arg for arg in command])
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def _identity_document_text(name):
+    return json.dumps(functor_to_document(tc.identity_two_functor(tc.gallery.by_name(name))))
+
+
+class TestFuzzedRows:
+    """One composition row or functor pair of an identity-functor document
+    dropped, duplicated or retargeted; a row is edited in both ends alike."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(["h4", "h4na", "T3", "v4"]),
+        key=st.sampled_from(["compose1", "vcompose", "hcompose", "f1", "f2"]),
+        edit=st.sampled_from(["drop", "duplicate", "retarget"]),
+        index=st.integers(0, 10**6),
+        shift=st.integers(0, 10**6),
+    )
+    def test_functor_commands_end_in_a_documented_exit(
+        self, tmp_path_factory, name, key, edit, index, shift
+    ):
+        doc = json.loads(_identity_document_text(name))
+        if key in ("f1", "f2"):
+            tables, level = [doc[key]], "one_cells" if key == "f1" else "two_cells"
+        else:
+            tables = [doc["source"][key], doc["target"][key]]
+            level = "one_cells" if key == "compose1" else "two_cells"
+        cells = sorted(cell["id"] for cell in doc["target"][level])
+        assume(tables[0])
+        i = index % len(tables[0])
+        for rows in tables:
+            row = rows[i]
+            if edit == "drop":
+                del rows[i]
+            elif edit == "duplicate":
+                rows.insert(i, list(row))
+            else:
+                others = [cell for cell in cells if cell != row[-1]]
+                rows[i] = [*row[:-1], others[shift % len(others)]]
+        file = tmp_path_factory.mktemp("rows") / "doc.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        for command in FUZZED_COMMANDS["functor"]:
+            code, out, err = _run(command, file)
+            assert code in (0, 1, 2, 3), command
+            assert "Traceback" not in err, command
+            if code == 0:
+                json.loads(out)
+            if code == 1 and command[0] in ("pullback", "factor"):
+                # a failed check writes its report; a construction that met a
+                # broken law writes one error line and nothing else
+                if out:
+                    json.loads(out)
+                    assert err == "", command
+                else:
+                    assert err.startswith("error: ") and err.count("\n") == 1, command
 
 
 @pytest.fixture()

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +8,7 @@ import twocat as tc
 from twocat.core import build_two_category
 from twocat.limits import FiniteSquare
 
-from conftest import pick_functor
+from conftest import on_reference, pick_functor
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +102,80 @@ class TestRelaxedPullback:
         result = tc.pullback(phi, phi)
         report = tc.validate_two_category(result.apex)
         assert not report.passed("h-assoc")
+
+
+def composition_breaking_legs():
+    """``random_instance(8)`` with the first cell of its least parallel pair sent
+    to the second, and its identity: boundaries hold, ``vcompose`` does not.
+
+    The pair is the first two cells of the least hom holding more than one.
+    """
+    cat = tc.random_instance(8)
+    homs = cat._hom_index
+    first, second = homs[min(ends for ends, cells in homs.items() if len(cells) > 1)][:2]
+    idC = tc.identity_two_functor(cat)
+    f2 = {t: second if t == first else t for t in cat.two_cells}
+    return tc.TwoFunctor(cat, cat, idC.f0, idC.f1, f2), idC
+
+
+class TestLegsThatBreakTheStructure:
+    def test_broken_boundaries_are_malformed_and_broken_composition_breaks_a_law(self):
+        idT = tc.identity_two_functor(tc.make_T())
+        swap = tc.TwoFunctor(idT.source, idT.target, {"a": "b", "b": "a"}, idT.f1, idT.f2)
+        message = re.escape("the boundary or identity of apex cell '(a|b)' is outside the fiber")
+        with pytest.raises(tc.MalformedData, match=message):
+            tc.pullback(swap, idT)
+        graph = tc.underlying_graph_morphism
+        with pytest.raises(tc.MalformedData, match=message):
+            tc.graph_pullback(graph(swap), graph(idT))
+        with pytest.raises(tc.LawViolation) as caught:
+            tc.pullback(*composition_breaking_legs())
+        assert str(caught.value) == (
+            "boundary law fails at ((((vid:h|vid:h')|t1)|((vid:h|vid:h')|t2)), "
+            "(((vid:h|t1)|vid:h)|((vid:h|t1)|vid:h)))"
+        )
+
+
+class TestPullbackMatchesTheReference:
+    """Apex, projections and pair names against the pinned reference."""
+
+    def test_every_corpus_cospan(self, reference, corpus_functors):
+        theirs = {id(f): on_reference(reference, f) for f in corpus_functors}
+        cospans = 0
+        for f in corpus_functors:
+            for g in corpus_functors:
+                if f.target != g.target:
+                    continue
+                cospans += 1
+                mine, ref = tc.pullback(f, g), reference.pullback(theirs[id(f)], theirs[id(g)])
+                for field in dataclasses.fields(mine.apex):
+                    assert getattr(mine.apex, field.name) == getattr(ref.apex, field.name)
+                for proj, ref_proj in ((mine.proj1, ref.proj1), (mine.proj2, ref.proj2)):
+                    assert (proj.f0, proj.f1, proj.f2) == (ref_proj.f0, ref_proj.f1, ref_proj.f2)
+                assert mine.names == [
+                    {(p1[n], p2[n]): n for n in p1}
+                    for p1, p2 in zip(
+                        (ref.proj1.f0, ref.proj1.f1, ref.proj1.f2),
+                        (ref.proj2.f0, ref.proj2.f1, ref.proj2.f2),
+                    )
+                ]
+        assert cospans == 5038
+
+    def test_broken_composition_names_the_least_pair_off_the_apex(self, reference):
+        fun, idC = composition_breaking_legs()
+        apex = reference.pullback(on_reference(reference, fun), on_reference(reference, idC)).apex
+        least = next(
+            min(key for key, value in table.items() if value not in cells)
+            for table, cells in (
+                (apex.one_compose, apex.one_cells),
+                (apex.vert_compose, apex.two_cells),
+                (apex.horiz_compose, apex.two_cells),
+            )
+            if not cells.keys() >= set(table.values())
+        )
+        with pytest.raises(tc.LawViolation) as caught:
+            tc.pullback(fun, idC)
+        assert (caught.value.law, caught.value.cells) == ("boundary", least)
 
 
 class TestInjectiveNames:
