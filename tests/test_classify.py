@@ -304,6 +304,53 @@ class TestAgainstTheReference:
         assert failures > 100  # the witness paths are exercised
 
 
+def levelwise_bijection(fun):
+    """Whether each carrier map of ``fun`` is a bijection onto the target's."""
+    return all(
+        sorted(mapping.values()) == sorted(carrier)
+        for mapping, carrier in (
+            (fun.f0, fun.target.objects),
+            (fun.f1, fun.target.one_cells),
+            (fun.f2, fun.target.two_cells),
+        )
+    )
+
+
+def vertical_oracle(fun):
+    """Vertical by definition (Cassidy-Hebert-Kelly): the reflection of
+    ``fun`` is an isomorphism, a levelwise bijection that is a 2-functor."""
+    reflected = tc.reflect_functor(fun)
+    return levelwise_bijection(reflected) and tc.validate_two_functor(reflected) == []
+
+
+def stably_vertical_oracle(fun, probes):
+    """Stably vertical by definition (Carboni-Janelidze-Kelly-Pare): every
+    pullback of ``fun`` along a functor from ``probes`` into its target
+    passes :func:`vertical_oracle`."""
+    return all(
+        vertical_oracle(tc.pullback(g, fun).proj1)
+        for probe in probes
+        for g in tc.enumerate_two_functors(probe, fun.target)
+    )
+
+
+class TestVerticalClassesByDefinition:
+    """``is_vertical`` and ``is_stably_vertical`` against their definitions."""
+
+    def test_vertical(self, differential_functors, corpus_functors):
+        for fun in differential_functors:
+            assert tc.is_vertical(fun) == vertical_oracle(fun)
+        assert sum(map(vertical_oracle, corpus_functors)) == 58
+
+    def test_stably_vertical(self, corpus_functors, seeded_functors, t_family):
+        counts = []
+        for functors in (corpus_functors, seeded_functors):
+            verdicts = [stably_vertical_oracle(fun, t_family) for fun in functors]
+            assert verdicts == [tc.is_stably_vertical(fun) for fun in functors]
+            counts.append(sum(verdicts))
+        assert counts == [19, 12]
+
+
 class TestScale:
     def test_h4_cover_projection(self):
         _, p = tc.edm_cover(tc.make_h4())

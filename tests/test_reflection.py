@@ -298,39 +298,101 @@ class TestStability:
 
 @pytest.fixture(scope="module")
 def probe_inputs(gallery_objects):
-    """Gallery objects but vh4, seeded random instances and a coproduct."""
+    """Gallery objects but vh4, seeded random instances, a coproduct and two
+    relaxed inputs: the non-associative h4 and a law-breaking document."""
     cats = {name: cat for name, cat in gallery_objects.items() if name != "vh4"}
     for seed in range(4):
         cats[f"random {seed}"] = tc.random_instance(seed, 4, 16, 32)
     cats["T2+T"], _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
+    cats["h4na"] = tc.make_h4_na()
+    cats["law-breaking"] = parse_document(json.dumps(law_breaking_document()))
     return cats
 
 
+def outcome(check, *args):
+    """The verdict of ``check``, or the type name, law and cells it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # compared across the two packages' error types
+        return type(exc).__name__, getattr(exc, "law", None), getattr(exc, "cells", None)
+
+
+#: Every probe check's answer on the law-breaking document: the violation
+#: ``reflect`` raises on it.  The pinned reference predates ``LawViolation``
+#: and fails a bare ``assert`` there instead.
+LAW_BREAKING = ("LawViolation", "boundary", ("s", "t2"))
+
+
+def expected(reference, check, names, probe_inputs):
+    """The reference's outcome of ``check`` on the named probe inputs."""
+    if "law-breaking" in names:
+        return LAW_BREAKING
+    cats = (reference_category(reference, probe_inputs[name]) for name in names)
+    return outcome(getattr(reference, check), *cats)
+
+
 class TestProbeChecksAgainstTheReference:
-    """The probe checks give the pinned reference's verdicts."""
+    """The probe checks give the pinned reference's verdicts and exceptions."""
 
     def test_semi_left_exactness(self, probe_inputs, reference):
         for name, cat in probe_inputs.items():
-            theirs = reference.check_semi_left_exact(reference_category(reference, cat))
-            assert tc.check_semi_left_exact(cat) == theirs, name
+            theirs = expected(reference, "check_semi_left_exact", (name,), probe_inputs)
+            assert outcome(tc.check_semi_left_exact, cat) == theirs, name
 
     def test_stable_units(self, probe_inputs, reference):
         gallery = ("terminal", "T0", "T", "T2", "T3", "T4", "v4")
         randoms = [name for name in probe_inputs if name.startswith("random")]
         pairs = list(itertools.product(gallery, repeat=2)) + [("T", "h4"), ("h4", "T")]
         pairs += [(r, "T2+T") for r in randoms] + [("T2+T", r) for r in randoms]
-        for a, b in pairs:
-            cat, other = probe_inputs[a], probe_inputs[b]
-            theirs = reference.check_stable_units(
-                reference_category(reference, cat), reference_category(reference, other)
+        pairs += [pair for x in ("h4na", "law-breaking") for pair in ((x, "T"), ("T", x))]
+        for pair in pairs:
+            theirs = expected(reference, "check_stable_units", pair, probe_inputs)
+            ours = outcome(tc.check_stable_units, *(probe_inputs[name] for name in pair))
+            assert ours == theirs, pair
+        assert tc.check_stable_units(probe_inputs["h4na"], probe_inputs["T"])
+
+    @pytest.mark.parametrize(
+        "check, names, caps",
+        [
+            ("check_stable_units", ("T", "T"), (1, 32, 64)),
+            ("check_semi_left_exact", ("v4",), (10, 3, 64)),
+        ],
+    )
+    def test_search_caps_raise_where_they_did(self, probe_inputs, reference, check, names, caps):
+        cats = [probe_inputs[name] for name in names]
+        with pytest.raises(tc.SearchCapExceeded) as ours:
+            getattr(tc, check)(*cats, tc.SearchCaps(*caps))
+        with pytest.raises(reference.SearchCapExceeded) as theirs:
+            getattr(reference, check)(
+                *(reference_category(reference, cat) for cat in cats), reference.SearchCaps(*caps)
             )
-            assert tc.check_stable_units(cat, other) == theirs, (a, b)
+        assert str(ours.value) == str(theirs.value)
+
+
+class TestProbeLegs:
+    """A leg into the probe that is not vertical falls back to the search."""
+
+    def test_a_collapse_that_still_reflects_onto_the_probe(self, calls):
+        T = tc.make_T()
+        (collapse,) = (
+            fun for fun in tc.enumerate_two_functors(T, T) if set(fun.f1.values()) == {"id:a"}
+        )
+        assert not tc.is_vertical(collapse)
+        assert reflection._reflects_onto(collapse, T, tc.DEFAULT_CAPS)
+        assert [args[0] for args in calls["reflect"]] == [T]
+        assert len(calls["find_isomorphism"]) == 1
+
+    def test_a_leg_whose_source_does_not_reflect_onto_the_probe(self):
+        T = tc.make_T()
+        for leg in tc.enumerate_two_functors(tc.terminal(), T):
+            assert not reflection._reflects_onto(leg, T, tc.DEFAULT_CAPS)
 
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """The arguments of every ``reflect`` and ``pullback`` call the package makes."""
-    log = {"reflect": [], "pullback": []}
+    """The arguments of every ``reflect``, ``pullback`` and ``find_isomorphism``
+    call the package makes."""
+    log = {"reflect": [], "pullback": [], "find_isomorphism": []}
     for name in log:
         real = getattr(reflection, name)
 
@@ -360,19 +422,26 @@ def components_of(cat, calls):
 
 
 class TestEachCategoryIsReflectedOnce:
+    """The probe checks reflect their inputs only: every component and mixed
+    apex is settled by its vertical projection onto the probe, unsearched."""
+
     def test_semi_left_exactness(self, calls, gallery_objects):
         cat = gallery_objects["v4"]
         assert tc.check_semi_left_exact(cat)
-        assert reflections_of(cat, calls) == 1
-        assert components_of(cat, calls) == probe_count(cat) > 1
+        assert [args[0] for args in calls["reflect"]] == [cat]
+        assert calls["find_isomorphism"] == []
+        assert len(calls["pullback"]) == components_of(cat, calls) == probe_count(cat) > 1
 
     def test_stable_units_build_each_component_of_other_once(self, calls):
         cat, _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
         other = tc.make_v4()
         assert tc.check_stable_units(cat, other)
-        assert reflections_of(cat, calls) == reflections_of(other, calls) == 1
+        assert [args[0] for args in calls["reflect"]] == [cat, other]
+        assert calls["find_isomorphism"] == []
         assert components_of(cat, calls) == probe_count(cat) > 1
         assert components_of(other, calls) == probe_count(other) > 1
+        mixed = probe_count(cat) * probe_count(other)
+        assert len(calls["pullback"]) == probe_count(cat) + probe_count(other) + mixed
 
     @pytest.mark.parametrize("check", [tc.reflective_factor, tc.trivial_covering_oracle])
     def test_reflected_square(self, calls, t_family, check):
