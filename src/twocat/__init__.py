@@ -29,7 +29,6 @@ from .core import (
     find_isomorphism,
     functors_equal,
     identity_two_functor,
-    is_isomorphic,
     validate_two_category,
     validate_two_functor,
     vertical_hom,

@@ -859,7 +859,3 @@ def find_isomorphism(a, b, caps=DEFAULT_CAPS):
             f"carriers {a.carrier_sizes()} exceed search caps {caps}"
         )
     return next(enumerate_two_functors(a, b, bijective=True), None)
-
-
-def is_isomorphic(a, b, caps=DEFAULT_CAPS):
-    return find_isomorphism(a, b, caps) is not None

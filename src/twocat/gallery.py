@@ -66,20 +66,21 @@ def _check_acyclic(presentation):
 
 
 def _enumerate_paths(presentation):
+    """Every generator path, keyed ``(start, gens)``, mapped to its end."""
     by_dom = {}
     for gen in sorted(presentation.generators):
         by_dom.setdefault(presentation.generators[gen][0], []).append(gen)
 
-    paths = []
+    ends = {}
 
     def extend(path, start, at):
-        paths.append((path, start))
+        ends[(start, path)] = at
         for gen in by_dom.get(at, ()):
             extend(path + (gen,), start, presentation.generators[gen][1])
 
     for obj in sorted(presentation.objects):
         extend((), obj, obj)
-    return paths
+    return ends
 
 
 def _free_two_preorder_with_meta(presentation):
@@ -94,17 +95,7 @@ def _free_two_preorder_with_meta(presentation):
         if dom not in presentation.objects or cod not in presentation.objects:
             raise MalformedData(f"generator {gen!r} has unknown endpoints")
 
-    def path_end(start, path):
-        at = start
-        for gen in path:
-            if gens[gen][0] != at:
-                raise MalformedData(f"path {path} is not composable")
-            at = gens[gen][1]
-        return at
-
-    raw_paths = [(start, path) for path, start in _enumerate_paths(presentation)]
-    ends = {(start, path): path_end(start, path) for start, path in raw_paths}
-    known = set(ends)
+    ends = _enumerate_paths(presentation)
 
     rules = []
     for lower, upper in presentation.relations:
@@ -113,7 +104,7 @@ def _free_two_preorder_with_meta(presentation):
             raise MalformedData("relation sides must be nonempty generator paths")
         lo_key = (gens[lower[0]][0], lower) if lower[0] in gens else None
         up_key = (gens[upper[0]][0], upper) if upper[0] in gens else None
-        if lo_key not in known or up_key not in known:
+        if lo_key not in ends or up_key not in ends:
             raise MalformedData(f"relation {lower} <= {upper} uses unknown paths")
         if lo_key[0] != up_key[0] or ends[lo_key] != ends[up_key]:
             raise MalformedData(f"relation {lower} <= {upper} is not parallel")
@@ -130,7 +121,7 @@ def _free_two_preorder_with_meta(presentation):
                     yield path[:i] + up + path[i + width :]
 
     reachable = {}
-    for start, path in raw_paths:
+    for start, path in ends:
         seen = {path}
         frontier = [path]
         while frontier:
@@ -143,21 +134,21 @@ def _free_two_preorder_with_meta(presentation):
             frontier = nxt
         reachable[(start, path)] = seen
 
-    pid_of = {key: _path_id(key[1], key[0]) for key in known}
+    pid_of = {key: _path_id(key[1], key[0]) for key in ends}
     if len(set(pid_of.values())) != len(pid_of):
         raise MalformedData("generator names produce colliding path identifiers")
 
     one_cells = {}
     one_meta = {}
-    for start, path in raw_paths:
+    for (start, path), end in ends.items():
         pid = pid_of[(start, path)]
-        one_cells[pid] = (start, ends[(start, path)])
+        one_cells[pid] = (start, end)
         one_meta[pid] = path
     one_identity = {obj: f"id:{obj}" for obj in presentation.objects}
 
     two_cells = {}
     two_meta = {}
-    for start, path in raw_paths:
+    for start, path in ends:
         pid = pid_of[(start, path)]
         for succ in sorted(reachable[(start, path)]):
             spid = pid_of[(start, succ)]
@@ -166,7 +157,7 @@ def _free_two_preorder_with_meta(presentation):
             two_meta[cid] = (path, succ)
     two_identity = {
         pid_of[(start, path)]: f"vid:{pid_of[(start, path)]}"
-        for start, path in raw_paths
+        for start, path in ends
     }
     cell_by_boundary = {bounds: cid for cid, bounds in two_cells.items()}
 

@@ -26,7 +26,7 @@ class TestProbeFamily:
 
     def test_three_cells_reflect_onto_the_probe(self):
         result = tc.reflect(tc.make_Tn(3))
-        assert tc.is_isomorphic(result.reflected, tc.make_T())
+        assert tc.find_isomorphism(result.reflected, tc.make_T()) is not None
         assert len(result.fibers["t1"]) == 3
 
     def test_family_validates(self):
@@ -283,7 +283,7 @@ class TestRandomInstances:
     def test_minimal_budget_forces_the_terminal_object(self):
         for seed in (0, 1, 9):
             cat = tc.random_instance(seed, 1, 1, 1)
-            assert tc.is_isomorphic(cat, tc.terminal())
+            assert tc.find_isomorphism(cat, tc.terminal()) is not None
 
     def test_impossible_budget_raises(self):
         with pytest.raises(tc.BudgetExceeded):
