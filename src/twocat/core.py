@@ -192,7 +192,10 @@ class TwoFunctor:
     """Triple of carrier maps between 2-categories.
 
     Validity (commutation with all structure maps) is checked by
-    :func:`validate_two_functor`, never assumed by the container.
+    :func:`validate_two_functor`, never assumed by the container.  Like
+    its ends, a functor is treated as immutable: the fiber products of
+    :mod:`twocat.limits` build its image index on first use and keep it
+    for the functor's lifetime.
     """
 
     source: TwoCategory
@@ -200,6 +203,20 @@ class TwoFunctor:
     f0: dict
     f1: dict
     f2: dict
+
+    @cached_property
+    def _by_image(self):
+        """Per level, the source cells grouped by image; per table, its rows
+        ``(i, g, f, v)`` grouped by the images of ``(g, f)``, where ``i`` is
+        the row's place in the table.  A 2-graph source has no tables."""
+        s = self.source
+        tables = [getattr(s, name) for name in _TABLES] if isinstance(s, TwoCategory) else []
+        rows = [{} for _ in tables]
+        for index, table, m in zip(rows, tables, (self.f1, self.f2, self.f2)):
+            for i, ((g, f), v) in enumerate(table.items()):
+                index.setdefault((m[g], m[f]), []).append((i, g, f, v))
+        carriers = zip((s.objects, s.one_cells, s.two_cells), (self.f0, self.f1, self.f2))
+        return [_group(xs, m.__getitem__) for xs, m in carriers], rows
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ structures; only the expectations on the result differ.
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .core import TwoCategory, TwoFunctor, build_two_category
+from .core import _TABLES, TwoCategory, TwoFunctor, _group, build_two_category
 from .errors import LawViolation, MalformedData, MismatchedTarget
 
 
@@ -62,30 +63,32 @@ def encoder(levels, arity=2):
     return named
 
 
-def _fiber(xs, ys, f, g):
-    """The pairs ``(x, y)`` with ``f[x] == g[y]``, in the order of ``xs`` then ``ys``."""
-    by_image = {}
-    for y in ys:
-        by_image.setdefault(g[y], []).append(y)
-    return [(x, y) for x in xs for y in by_image.get(f[x], ())]
+def _legs(f, g):
+    """The leg whose cells are walked, the leg read from its cached index
+    (the one with more 2-cells, the second on a tie), and whether they swap."""
+    swap = len(f.source.two_cells) > len(g.source.two_cells)
+    return (g, f, swap) if swap else (f, g, swap)
 
 
-def fiber_product(a, c, f, g):
-    """Carrier-level fiber product of maps ``f: a -> z <- c: g`` of carriers.
+def fiber_product(f, g):
+    """Carrier-level fiber product of the carrier maps of ``f`` and ``g``.
 
-    ``a`` and ``c`` are 2-reflexive graphs or 2-categories, and ``f`` and
-    ``g`` their ``(f0, f1, f2)`` carrier maps.  Returns the apex carriers
-    as keyword arguments of :class:`TwoReflexiveGraph` and, per level, the
-    apex cell over each pair ``(x, y)``.  Legs that break boundaries can
-    put the boundary or identity pair of an apex cell outside the fiber;
-    then :class:`MalformedData` names the least such cell.
+    The sources are 2-reflexive graphs or 2-categories.  Returns the apex
+    carriers as keyword arguments of :class:`TwoReflexiveGraph` and, per
+    level, the apex cell over each pair ``(x, y)``, in identifier order of
+    ``x``, then ``y``.  The larger leg is read from its cached index by
+    image; only the other leg's cells are walked.  Legs that break
+    boundaries can put the boundary or identity pair of an apex cell
+    outside the fiber; then :class:`MalformedData` names the least such cell.
     """
-    levels = [
-        _fiber(sorted(xs), sorted(ys), fm, gm)
-        for xs, ys, fm, gm in zip(
-            (a.objects, a.one_cells, a.two_cells), (c.objects, c.one_cells, c.two_cells), f, g
-        )
-    ]
+    small, big, swap = _legs(f, g)
+    a, c, s = f.source, g.source, small.source
+    walk = zip((s.objects, s.one_cells, s.two_cells), (small.f0, small.f1, small.f2),
+               big._by_image[0])
+    if swap:
+        levels = [sorted([(y, x) for x in xs for y in index.get(m[x], ())]) for xs, m, index in walk]
+    else:
+        levels = [[(x, y) for x in sorted(xs) for y in index.get(m[x], ())] for xs, m, index in walk]
     names = [{pair: n for n, pair in level.items()} for level in encoder(levels)]
     objs, ones, twos = names
     try:
@@ -117,22 +120,26 @@ def fiber_product(a, c, f, g):
     return carriers, names
 
 
-def _join(rows_a, rows_c, fm, gm, names):
-    """The apex table: a row per pair of rows whose ``(g, f)`` images agree.
-
-    A composite outside the fiber breaks the boundary law, and
+def _join(f, g, k, names):
+    """Table ``k`` of the apex (compose1, vcompose, hcompose): a row per
+    pair of the legs' rows whose ``(g, f)`` images agree, in the first
+    leg's row order, then the second's; only the smaller leg's rows are
+    walked.  A composite outside the fiber breaks the boundary law, and
     :class:`LawViolation` names the least such apex pair.
     """
-    by_image = {}
-    for (gc, fc), vc in rows_c.items():
-        by_image.setdefault((gm[gc], gm[fc]), []).append((gc, fc, vc))
-    table = {
-        (names[ga, gc], names[fa, fc]): names.get((va, vc))
-        for (ga, fa), va in rows_a.items()
-        for gc, fc, vc in by_image.get((fm[ga], fm[fa]), ())
-    }
+    small, big, swap = _legs(f, g)
+    index, m = big._by_image[1][k], (small.f1, small.f2, small.f2)[k]
+    rows = getattr(small.source, _TABLES[k]).items()
+    if swap:
+        hits = [(i, (names[ga, gc], names[fa, fc]), names.get((va, vc))) for (gc, fc), vc in rows
+                for i, ga, fa, va in index.get((m[gc], m[fc]), ())]
+        hits.sort(key=itemgetter(0))  # stable: each first-leg row keeps its partners' order
+        table = {key: v for _, key, v in hits}
+    else:
+        table = {(names[ga, gc], names[fa, fc]): names.get((va, vc))
+                 for (ga, fa), va in rows for _, gc, fc, vc in index.get((m[ga], m[fa]), ())}
     if None in table.values():
-        raise LawViolation("boundary", min(k for k, v in table.items() if v is None))
+        raise LawViolation("boundary", min(key for key, v in table.items() if v is None))
     return table
 
 
@@ -150,18 +157,17 @@ def pullback(f, g):
     """
     if f.target != g.target:
         raise MismatchedTarget("pullback needs morphisms into the same 2-category")
-    a, c = f.source, g.source
-    carriers, names = fiber_product(a, c, (f.f0, f.f1, f.f2), (g.f0, g.f1, g.f2))
+    carriers, names = fiber_product(f, g)
     apex = TwoCategory(
         **carriers,
-        one_compose=_join(a.one_compose, c.one_compose, f.f1, g.f1, names[1]),
-        vert_compose=_join(a.vert_compose, c.vert_compose, f.f2, g.f2, names[2]),
-        horiz_compose=_join(a.horiz_compose, c.horiz_compose, f.f2, g.f2, names[2]),
+        one_compose=_join(f, g, 0, names[1]),
+        vert_compose=_join(f, g, 1, names[2]),
+        horiz_compose=_join(f, g, 2, names[2]),
     )
     return PullbackResult(
         apex,
-        TwoFunctor(apex, a, *projections(names, 0)),
-        TwoFunctor(apex, c, *projections(names, 1)),
+        TwoFunctor(apex, f.source, *projections(names, 0)),
+        TwoFunctor(apex, g.source, *projections(names, 1)),
         names,
     )
 
@@ -222,6 +228,7 @@ def is_pullback_square(square):
             raise MalformedData(f"apex element {w!r} maps outside the cospan feet")
         if square.f[square.p[w]] != square.g[square.q[w]]:
             return False
-    fiber = set(_fiber(square.f, square.g, square.f, square.g))
+    by_image = _group(square.g, square.g.__getitem__)
+    fiber = {(x, y) for x, z in square.f.items() for y in by_image.get(z, ())}
     canonical = {(square.p[w], square.q[w]) for w in square.p}
     return len(canonical) == len(square.p) and canonical == fiber

@@ -15,6 +15,7 @@ from .core import (
     TwoReflexiveGraph,
     _bijectivity_witness,
     _graph_violations,
+    check_well_formed,
     enumerate_two_functors,
 )
 from .errors import LawViolation, MismatchedTarget
@@ -157,7 +158,7 @@ def graph_pullback(f, g):
     """Componentwise fiber product of graph morphisms with a common target."""
     if f.target != g.target:
         raise MismatchedTarget("graph pullback needs a common target")
-    carriers, names = fiber_product(f.source, g.source, (f.f0, f.f1, f.f2), (g.f0, g.f1, g.f2))
+    carriers, names = fiber_product(f, g)
     apex = TwoReflexiveGraph(**carriers)
     proj1 = TwoFunctor(apex, f.source, *projections(names, 0))
     proj2 = TwoFunctor(apex, g.source, *projections(names, 1))
@@ -189,11 +190,12 @@ def check_semi_left_exact(cat):
     the reflection of ``cat``; the component over it reflects onto the
     probe exactly when its projection onto the probe is vertical (the
     reflection of that projection is then a levelwise bijection).  ``cat``
-    is reflected once.
+    is checked for well-formedness and reflected once.
     """
     from .classify import is_vertical
 
     probe = _probe_object()
+    check_well_formed(cat)
     unit = reflect(cat).unit
     return all(
         is_vertical(_component(unit, mu).proj2)
@@ -209,12 +211,15 @@ def check_stable_units(cat, other):
     built: the probe has at most one 2-cell per vertical hom, so a fiber
     product of two components whose projections onto the probe are
     vertical has a vertical projection too, and the check asks only that
-    every component of either side has a vertical projection.  The
+    every component of either side has a vertical projection.  Both inputs
+    are checked for well-formedness, then each is reflected once; the
     components of ``other`` are built with the first component of ``cat``.
     """
     from .classify import is_vertical
 
     probe = _probe_object()
+    for x in (cat, other):
+        check_well_formed(x)
     unit_c, unit_d = reflect(cat).unit, reflect(other).unit
     probes_c = list(enumerate_two_functors(probe, unit_c.target))
     probes_d = list(enumerate_two_functors(probe, unit_d.target))

@@ -1,11 +1,12 @@
 import dataclasses
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import twocat as tc
-from twocat.core import build_two_category
+from twocat.core import TwoFunctor, build_two_category
 from twocat.limits import FiniteSquare
 
 from conftest import on_reference, pick_functor
@@ -164,18 +165,180 @@ class TestPullbackMatchesTheReference:
     def test_broken_composition_names_the_least_pair_off_the_apex(self, reference):
         fun, idC = composition_breaking_legs()
         apex = reference.pullback(on_reference(reference, fun), on_reference(reference, idC)).apex
-        least = next(
-            min(key for key, value in table.items() if value not in cells)
-            for table, cells in (
-                (apex.one_compose, apex.one_cells),
-                (apex.vert_compose, apex.two_cells),
-                (apex.horiz_compose, apex.two_cells),
-            )
-            if not cells.keys() >= set(table.values())
-        )
         with pytest.raises(tc.LawViolation) as caught:
             tc.pullback(fun, idC)
-        assert (caught.value.law, caught.value.cells) == ("boundary", least)
+        assert (caught.value.law, caught.value.cells) == ("boundary", least_pair_off(apex))
+
+    def test_legs_pulled_back_against_several_partners(self, reference, gallery_objects):
+        """One functor object against many partners, in both argument
+        positions, so that a leg's cached index is read again: the gallery
+        units along every probe into their reflections, and the T, T3 and
+        v4 cover projections along every probe and along the identity."""
+        probe = tc.make_T()
+        cospans = []
+        for name, cat in gallery_objects.items():
+            if name != "vh4":
+                unit = tc.reflect(cat).unit
+                cospans += [(unit, mu) for mu in tc.enumerate_two_functors(probe, unit.target)]
+        for base in (probe, tc.make_Tn(3), tc.make_v4()):
+            _, p = tc.edm_cover(base)
+            cospans += [(phi, p) for phi in tc.enumerate_two_functors(probe, base)]
+            cospans.append((p, tc.identity_two_functor(base)))
+        theirs, places = {}, {}
+        for f, g in [*cospans, *((g, f) for f, g in cospans)]:
+            mine = tc.pullback(f, g)
+            ref = reference.pullback(*(
+                theirs.setdefault(id(leg), on_reference(reference, leg)) for leg in (f, g)
+            ))
+            assert_same_pullback(mine, ref)
+            assert_in_row_join_order(mine, f, g, places)
+        assert len(cospans) == 122
+
+    def test_relaxed_legs_with_the_larger_leg_first_and_second(self, reference):
+        """The reference's apex holds the cells that fail: the least pair
+        whose composite is off the apex, or the least cell whose boundary or
+        identity is.  Each cospan pairs a leg with one of twice its size, a
+        fold ``C + C -> C``, built once and pulled back in both positions."""
+        fun, idC = composition_breaking_legs()
+        idT = tc.identity_two_functor(tc.make_T())
+        swap = tc.TwoFunctor(idT.source, idT.target, {"a": "b", "b": "a"}, idT.f1, idT.f2)
+        cospans = []
+        for broken, valid in ((fun, idC), (swap, idT)):
+            union, injections = tc.coproduct([valid.source, valid.source])
+            cospans += [
+                (tc.copair(union, injections, [valid, valid]), broken),
+                (tc.copair(union, injections, [broken, valid]), valid),
+            ]
+        raised = []
+        for f, g in [*cospans, *((g, f) for f, g in cospans)]:
+            assert len(f.source.two_cells) != len(g.source.two_cells)
+            apex = reference.pullback(on_reference(reference, f), on_reference(reference, g)).apex
+            with pytest.raises((tc.LawViolation, tc.MalformedData)) as caught:
+                tc.pullback(f, g)
+            if isinstance(caught.value, tc.LawViolation):
+                assert (caught.value.law, caught.value.cells) == ("boundary", least_pair_off(apex))
+            else:
+                assert str(caught.value) == (
+                    f"the boundary or identity of apex cell {least_dangling_cell(apex)!r}"
+                    " is outside the fiber"
+                )
+            raised.append(type(caught.value).__name__)
+        assert raised == (["LawViolation"] * 2 + ["MalformedData"] * 2) * 2
+
+
+def assert_same_pullback(mine, ref):
+    """Apex carriers, tables, projections and names equal the reference's;
+    all but the tables also in iteration order."""
+    def ordered(value):
+        return list(value.items()) if isinstance(value, dict) else list(value)
+
+    for field in dataclasses.fields(mine.apex):
+        ours, theirs = getattr(mine.apex, field.name), getattr(ref.apex, field.name)
+        assert ours == theirs, field.name
+        if field.name not in ("one_compose", "vert_compose", "horiz_compose"):
+            assert ordered(ours) == ordered(theirs), field.name
+    for proj, ref_proj in ((mine.proj1, ref.proj1), (mine.proj2, ref.proj2)):
+        for ours, theirs in zip((proj.f0, proj.f1, proj.f2), (ref_proj.f0, ref_proj.f1, ref_proj.f2)):
+            assert list(ours.items()) == list(theirs.items())
+    assert [list(level.items()) for level in mine.names] == [
+        [((p1[n], p2[n]), n) for n in p1]
+        for p1, p2 in zip((ref.proj1.f0, ref.proj1.f1, ref.proj1.f2),
+                          (ref.proj2.f0, ref.proj2.f1, ref.proj2.f2))
+    ]
+
+
+def assert_in_row_join_order(result, f, g, places):
+    """Each apex table lists its rows by the first leg's row, in that leg's
+    table order, then by the second leg's.  (The reference walks the apex's
+    composable pairs instead, so its tables are compared as dicts only.)
+
+    ``places`` memoizes each leg's row positions by table."""
+    for table, level in (("one_compose", 1), ("vert_compose", 2), ("horiz_compose", 2)):
+        legs = [
+            ((proj.f1, proj.f2)[level - 1], places.setdefault(
+                (id(leg), table), {key: i for i, key in enumerate(getattr(leg.source, table))}))
+            for proj, leg in ((result.proj1, f), (result.proj2, g))
+        ]
+        ranks = [
+            tuple(place[m[b], m[a]] for m, place in legs) for b, a in getattr(result.apex, table)
+        ]
+        assert ranks == sorted(ranks), table
+
+
+def least_pair_off(apex):
+    """The least table key of the first table whose composite is off the apex."""
+    return next(
+        min(key for key, value in table.items() if value not in cells)
+        for table, cells in (
+            (apex.one_compose, apex.one_cells),
+            (apex.vert_compose, apex.two_cells),
+            (apex.horiz_compose, apex.two_cells),
+        )
+        if not cells.keys() >= set(table.values())
+    )
+
+
+def least_dangling_cell(apex):
+    """The least apex cell whose boundary or identity is not an apex cell."""
+    return min(
+        [x for x in apex.objects if apex.one_identity[x] not in apex.one_cells]
+        + [u for u, ends in apex.one_cells.items()
+           if not apex.objects >= set(ends) or apex.two_identity[u] not in apex.two_cells]
+        + [t for t, ends in apex.two_cells.items() if not apex.one_cells.keys() >= set(ends)]
+    )
+
+
+@pytest.fixture()
+def index_builds(monkeypatch):
+    """Every functor whose index by image is built, once per build."""
+    built = []
+    cached = TwoFunctor.__dict__["_by_image"]
+
+    class Counting:
+        def __get__(self, fun, owner=None):
+            if fun is not None and "_by_image" not in vars(fun):
+                built.append(fun)
+            return cached.__get__(fun, owner)
+
+    monkeypatch.setattr(TwoFunctor, "_by_image", Counting())
+    return built
+
+
+@pytest.fixture()
+def pulled_back(monkeypatch):
+    """The legs of every ``pullback`` call the package makes."""
+    log = []
+    real = tc.pullback
+
+    def recording(f, g):
+        log.append((f, g))
+        return real(f, g)
+
+    for module in ("twocat.reflection", "twocat.classify"):
+        monkeypatch.setattr(sys.modules[module], "pullback", recording)
+    return log
+
+
+class TestEachFixedLegIsIndexedOnce:
+    """A leg pulled back along many probes is indexed by image once, and
+    the probes, the smaller legs, get no index."""
+
+    def test_semi_left_exactness(self, index_builds, pulled_back):
+        v4 = tc.make_v4()
+        assert tc.check_semi_left_exact(v4)
+        units = {id(f): f for f, _ in pulled_back}
+        assert len(units) == 1 and len(pulled_back) > 1
+        unit = next(iter(units.values()))
+        assert unit.source is v4
+        assert index_builds == [unit] and "_by_image" in vars(unit)
+        assert not any("_by_image" in vars(mu) for _, mu in pulled_back)
+
+    def test_covering_oracle_of_the_v4_cover_projection(self, index_builds, pulled_back):
+        _, p = tc.edm_cover(tc.make_v4())
+        assert tc.covering_oracle(p)
+        assert [g for _, g in pulled_back] == [p] * 12
+        assert index_builds == [p] and "_by_image" in vars(p)
+        assert not any("_by_image" in vars(phi) for phi, _ in pulled_back)
 
 
 class TestInjectiveNames:
