@@ -207,14 +207,14 @@ class TwoFunctor:
     @cached_property
     def _by_image(self):
         """Per level, the source cells grouped by image; per table, its rows
-        ``(i, g, f, v)`` grouped by the images of ``(g, f)``, where ``i`` is
-        the row's place in the table.  A 2-graph source has no tables."""
+        ``(g, f, v)`` grouped by the images of ``(g, f)``, in table order.
+        A 2-graph source has no tables."""
         s = self.source
         tables = [getattr(s, name) for name in _TABLES] if isinstance(s, TwoCategory) else []
         rows = [{} for _ in tables]
         for index, table, m in zip(rows, tables, (self.f1, self.f2, self.f2)):
-            for i, ((g, f), v) in enumerate(table.items()):
-                index.setdefault((m[g], m[f]), []).append((i, g, f, v))
+            for (g, f), v in table.items():
+                index.setdefault((m[g], m[f]), []).append((g, f, v))
         carriers = zip((s.objects, s.one_cells, s.two_cells), (self.f0, self.f1, self.f2))
         return [_group(xs, m.__getitem__) for xs, m in carriers], rows
 

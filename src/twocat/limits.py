@@ -9,9 +9,8 @@ structures; only the expectations on the result differ.
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .core import _TABLES, TwoCategory, TwoFunctor, _group, build_two_category
+from .core import _TABLES, TwoCategory, TwoFunctor, build_two_category
 from .errors import LawViolation, MalformedData, MismatchedTarget
 
 
@@ -63,32 +62,24 @@ def encoder(levels, arity=2):
     return named
 
 
-def _legs(f, g):
-    """The leg whose cells are walked, the leg read from its cached index
-    (the one with more 2-cells, the second on a tie), and whether they swap."""
-    swap = len(f.source.two_cells) > len(g.source.two_cells)
-    return (g, f, swap) if swap else (f, g, swap)
-
-
 def fiber_product(f, g):
     """Carrier-level fiber product of the carrier maps of ``f`` and ``g``.
 
     The sources are 2-reflexive graphs or 2-categories.  Returns the apex
     carriers as keyword arguments of :class:`TwoReflexiveGraph` and, per
     level, the apex cell over each pair ``(x, y)``, in identifier order of
-    ``x``, then ``y``.  The larger leg is read from its cached index by
-    image; only the other leg's cells are walked.  Legs that break
-    boundaries can put the boundary or identity pair of an apex cell
-    outside the fiber; then :class:`MalformedData` names the least such cell.
+    ``x``, then ``y``.  The cells of ``f`` are walked and matched in the
+    cached index by image of ``g``, so a second leg that is pulled back
+    against many partners is indexed once.  Legs that break boundaries
+    can put the boundary or identity pair of an apex cell outside the
+    fiber; then :class:`MalformedData` names the least such cell.
     """
-    small, big, swap = _legs(f, g)
-    a, c, s = f.source, g.source, small.source
-    walk = zip((s.objects, s.one_cells, s.two_cells), (small.f0, small.f1, small.f2),
-               big._by_image[0])
-    if swap:
-        levels = [sorted([(y, x) for x in xs for y in index.get(m[x], ())]) for xs, m, index in walk]
-    else:
-        levels = [[(x, y) for x in sorted(xs) for y in index.get(m[x], ())] for xs, m, index in walk]
+    a, c = f.source, g.source
+    levels = [
+        [(x, y) for x in sorted(xs) for y in index.get(m[x], ())]
+        for xs, m, index in zip((a.objects, a.one_cells, a.two_cells), (f.f0, f.f1, f.f2),
+                                g._by_image[0])
+    ]
     names = [{pair: n for n, pair in level.items()} for level in encoder(levels)]
     objs, ones, twos = names
     try:
@@ -123,21 +114,17 @@ def fiber_product(f, g):
 def _join(f, g, k, names):
     """Table ``k`` of the apex (compose1, vcompose, hcompose): a row per
     pair of the legs' rows whose ``(g, f)`` images agree, in the first
-    leg's row order, then the second's; only the smaller leg's rows are
-    walked.  A composite outside the fiber breaks the boundary law, and
-    :class:`LawViolation` names the least such apex pair.
+    leg's row order, then the second's.  The rows of ``f`` are walked and
+    matched in the cached index of ``g``.  A composite outside the fiber
+    breaks the boundary law, and :class:`LawViolation` names the least
+    such apex pair.
     """
-    small, big, swap = _legs(f, g)
-    index, m = big._by_image[1][k], (small.f1, small.f2, small.f2)[k]
-    rows = getattr(small.source, _TABLES[k]).items()
-    if swap:
-        hits = [(i, (names[ga, gc], names[fa, fc]), names.get((va, vc))) for (gc, fc), vc in rows
-                for i, ga, fa, va in index.get((m[gc], m[fc]), ())]
-        hits.sort(key=itemgetter(0))  # stable: each first-leg row keeps its partners' order
-        table = {key: v for _, key, v in hits}
-    else:
-        table = {(names[ga, gc], names[fa, fc]): names.get((va, vc))
-                 for (ga, fa), va in rows for _, gc, fc, vc in index.get((m[ga], m[fa]), ())}
+    index, m = g._by_image[1][k], (f.f1, f.f2, f.f2)[k]
+    table = {
+        (names[ga, gc], names[fa, fc]): names.get((va, vc))
+        for (ga, fa), va in getattr(f.source, _TABLES[k]).items()
+        for gc, fc, vc in index.get((m[ga], m[fa]), ())
+    }
     if None in table.values():
         raise LawViolation("boundary", min(key for key, v in table.items() if v is None))
     return table
@@ -228,7 +215,9 @@ def is_pullback_square(square):
             raise MalformedData(f"apex element {w!r} maps outside the cospan feet")
         if square.f[square.p[w]] != square.g[square.q[w]]:
             return False
-    by_image = _group(square.g, square.g.__getitem__)
+    by_image = {}
+    for y, z in square.g.items():
+        by_image.setdefault(z, []).append(y)
     fiber = {(x, y) for x, z in square.f.items() for y in by_image.get(z, ())}
     canonical = {(square.p[w], square.q[w]) for w in square.p}
     return len(canonical) == len(square.p) and canonical == fiber

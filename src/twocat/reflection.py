@@ -190,7 +190,8 @@ def check_semi_left_exact(cat):
     the reflection of ``cat``; the component over it reflects onto the
     probe exactly when its projection onto the probe is vertical (the
     reflection of that projection is then a levelwise bijection).  ``cat``
-    is checked for well-formedness and reflected once.
+    is checked for well-formedness and reflected once, and each component
+    is built with the unit as the second leg, so the unit is indexed once.
     """
     from .classify import is_vertical
 
@@ -198,7 +199,7 @@ def check_semi_left_exact(cat):
     check_well_formed(cat)
     unit = reflect(cat).unit
     return all(
-        is_vertical(_component(unit, mu).proj2)
+        is_vertical(pullback(mu, unit).proj1)
         for mu in enumerate_two_functors(probe, unit.target)
     )
 
@@ -213,7 +214,8 @@ def check_stable_units(cat, other):
     vertical has a vertical projection too, and the check asks only that
     every component of either side has a vertical projection.  Both inputs
     are checked for well-formedness, then each is reflected once; the
-    components of ``other`` are built with the first component of ``cat``.
+    components of ``other`` are built with the first component of ``cat``,
+    each with its unit as the second leg.
     """
     from .classify import is_vertical
 
@@ -224,9 +226,9 @@ def check_stable_units(cat, other):
     probes_c = list(enumerate_two_functors(probe, unit_c.target))
     probes_d = list(enumerate_two_functors(probe, unit_d.target))
     for i, mu in enumerate(probes_c):
-        legs = [_component(unit_c, mu).proj2]
+        legs = [pullback(mu, unit_c).proj1]
         if i == 0:
-            legs += [_component(unit_d, nu).proj2 for nu in probes_d]
+            legs += [pullback(nu, unit_d).proj1 for nu in probes_d]
         if not all(map(is_vertical, legs)):
             return False
     return True

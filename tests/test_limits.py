@@ -320,18 +320,18 @@ def pulled_back(monkeypatch):
 
 
 class TestEachFixedLegIsIndexedOnce:
-    """A leg pulled back along many probes is indexed by image once, and
-    the probes, the smaller legs, get no index."""
+    """A leg pulled back along many probes is the second leg, indexed by
+    image once; the probes, the first legs, are walked and get no index."""
 
     def test_semi_left_exactness(self, index_builds, pulled_back):
         v4 = tc.make_v4()
         assert tc.check_semi_left_exact(v4)
-        units = {id(f): f for f, _ in pulled_back}
+        units = {id(g): g for _, g in pulled_back}
         assert len(units) == 1 and len(pulled_back) > 1
         unit = next(iter(units.values()))
         assert unit.source is v4
         assert index_builds == [unit] and "_by_image" in vars(unit)
-        assert not any("_by_image" in vars(mu) for _, mu in pulled_back)
+        assert not any("_by_image" in vars(mu) for mu, _ in pulled_back)
 
     def test_covering_oracle_of_the_v4_cover_projection(self, index_builds, pulled_back):
         _, p = tc.edm_cover(tc.make_v4())
@@ -429,6 +429,17 @@ class TestPullbackSquare:
             f={u: cat.dom(u) for u in cat.one_cells},
             g={u: cat.cod(u) for u in cat.one_cells},
         )
+        assert not tc.is_pullback_square(square)
+
+    def test_feet_whose_keys_do_not_compare(self):
+        """Keys need only be hashable: a foot mixing ints and strings is grouped unsorted."""
+        f, g = {"x": 0, 2: 1}, {1: 0, "a": 0, "b": 1}
+        pairs = {f"{x}{y}": (x, y) for x in f for y in g if f[x] == g[y]}
+        square = FiniteSquare(
+            p={w: x for w, (x, _) in pairs.items()}, q={w: y for w, (_, y) in pairs.items()}, f=f, g=g
+        )
+        assert tc.is_pullback_square(square)
+        del square.p["x1"], square.q["x1"]
         assert not tc.is_pullback_square(square)
 
     @settings(max_examples=60, deadline=None)

@@ -438,7 +438,7 @@ def reflections_of(cat, calls):
 
 def components_of(cat, calls):
     """Pullbacks of the unit of ``cat``, the only functor out of ``cat`` pulled back."""
-    return sum(args[0].source is cat for args in calls["pullback"])
+    return sum(any(leg.source is cat for leg in args) for args in calls["pullback"])
 
 
 class TestEachCategoryIsReflectedOnce:
