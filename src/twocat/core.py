@@ -8,6 +8,8 @@ treated as immutable: no operation mutates its inputs.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import (
     LawViolation,
@@ -82,21 +84,6 @@ class _Carriers:
     def horiz_triples(self):
         """Horizontally composable triples ``(c3, c2, c1)``, c1 applied first."""
         return _chains(self.two_cells, self._twos_by_hdom, self.hcod, 3)
-
-    def horiz_vert_pairs(self):
-        """Horizontally composable pairs of vertically composable pairs.
-
-        Yields ``(left, right)`` with ``right`` applied first; both entries
-        are ``(b, a)`` pairs from :meth:`vert_pairs`, and the first cells
-        of the two form a pair from :meth:`horiz_pairs`.  The walk is lazy.
-        """
-        by_vdom = self._twos_by_vdom
-        return (
-            ((bp, ap), (b, a))
-            for ap, a in self.horiz_pairs()
-            for bp in by_vdom.get(self.vcod(ap), ())
-            for b in by_vdom.get(self.vcod(a), ())
-        )
 
     @cached_property
     def _ones_by_dom(self):
@@ -395,12 +382,34 @@ def check_well_formed(cat):
 
     Coherent means: every boundary reference resolves, the identity maps are
     total, and each composition table is keyed by exactly the derived set of
-    composable pairs.  The algebraic laws are not checked here.
+    composable pairs; the algebraic laws are not checked here.  Distinct
+    keys are exactly the composable pairs when each is a pair whose ends
+    meet and they are as many as the pairs.  Only a table that fails this
+    count is compared with the pair set, for its least bad row.
     """
     _check_carriers(cat)
-    _check_table(cat.one_compose, set(cat.one_pairs()), cat.one_cells, "compose1")
-    _check_table(cat.vert_compose, set(cat.vert_pairs()), cat.two_cells, "vcompose")
-    _check_table(cat.horiz_compose, set(cat.horiz_pairs()), cat.two_cells, "hcompose")
+    one, two = cat.one_cells, cat.two_cells
+    # a 2-cell's horizontal boundary is the boundary of its vertical domain
+    horiz = {t: one[h] for t, (h, _) in two.items()}
+    for table, ends, carrier, pairs, name in (
+        (cat.one_compose, one, one, cat.one_pairs, "compose1"),
+        (cat.vert_compose, two, two, cat.vert_pairs, "vcompose"),
+        (cat.horiz_compose, horiz, two, cat.horiz_pairs, "hcompose"),
+    ):
+        try:
+            starts = {}  # cells per meeting point, counted by where they start
+            for x, _ in ends.values():
+                starts[x] = starts.get(x, 0) + 1
+            counted = (
+                len(table) == sum(map(starts.get, map(itemgetter(1), ends.values()), repeat(0)))
+                and set(map(type, table)) <= {tuple}
+                and all(ends[g][0] == ends[f][1] for g, f in table)
+                and carrier.keys() >= set(table.values())
+            )
+        except (KeyError, TypeError, ValueError):
+            counted = False
+        if not counted:
+            _check_table(table, set(pairs()), carrier, name)
 
 
 def _check_carriers(cat):
@@ -446,113 +455,104 @@ def validate_two_category(cat):
     otherwise :class:`MalformedData` is raised.  Each failed law carries its
     lexicographically least counterexample.  Associativity failures are
     reported outermost first, so ``(c, b, a)`` compares ``c(ba)`` with
-    ``(cb)a``.
+    ``(cb)a``.  The laws are read from each table's rows, indexed by the
+    cell applied first for the duration of the call.
     """
     check_well_formed(cat)
+    one, two, c1 = cat.one_cells, cat.two_cells, cat.one_compose
+    e1, e2 = cat.one_identity, cat.two_identity
     failures = {}
 
-    def ex(law, *cells):
-        if law not in failures:
-            failures[law] = tuple(cells)
+    def ex(law, bad, key=None):
+        if bad:
+            failures[law] = min(bad, key=key)
 
-    # parallelism of 2-cell boundaries
-    for t in sorted(cat.two_cells):
-        vd, vc = cat.two_cells[t]
-        if cat.one_cells[vd] != cat.one_cells[vc]:
-            ex("parallelism", t)
-            break
+    ex("parallelism", [(t,) for t, (h, k) in two.items() if one[h] != one[k]])
+    ex("boundary", _boundary_law(cat), key=itemgetter(1, 0))  # least by (f, g)
+    # each row index lives only as long as the laws that read it
+    after = _rows_after(one, c1)
+    ex("1-unit", _unit_law(cat.objects, one, e1, after))
+    one_assoc = _assoc_law(after)
+    del after
+    vert = _rows_after(two, cat.vert_compose)
+    horiz = _rows_after(two, cat.horiz_compose)
+    ex("v-unit", _unit_law(one, two, e2, vert))
+    e = {x: e2[u] for x, u in e1.items()}  # the identity 2-cell of each object
+    ex("h-unit", [
+        (t,) for t, (h, _) in two.items()
+        if horiz[t].get(e[one[h][1]]) != t or horiz[e[one[h][0]]].get(t) != t
+    ])
+    ex("1-assoc", one_assoc)
+    ex("v-assoc", _assoc_law(vert))
+    ex("h-assoc", _assoc_law(horiz))
+    # horizontal composite of vertical identities, least by (h, k)
+    ex("identity-exchange", [
+        (k, h) for (k, h), kh in c1.items() if horiz[e2[h]].get(e2[k]) != e2[kh]
+    ], key=itemgetter(1, 0))
 
-    # boundary of composites, reporting only the first level that fails
-    bad = next(_boundary_failures(cat), None)
-    if bad is not None:
-        ex("boundary", *bad)
-
-    _unit_laws(cat, ex)
-    for law, triples, table in (
-        ("1-assoc", _chains(cat.one_cells, cat._ones_by_dom, cat.cod, 3), cat.one_compose),
-        ("v-assoc", cat.vert_triples(), cat.vert_compose),
-        ("h-assoc", cat.horiz_triples(), cat.horiz_compose),
-    ):
-        _assoc_law(triples, table, law, ex)
-
-    # horizontal composite of vertical identities
-    for k, h in cat.one_pairs():
-        lhs = cat.horiz_compose.get((cat.two_identity[k], cat.two_identity[h]))
-        if lhs != cat.two_identity[cat.one_compose[(k, h)]]:
-            ex("identity-exchange", k, h)
-            break
-
-    _interchange_law(cat, ex)
+    # interchange: (b'a')(ba) against (b'b)(a'a) for each horizontal pair (a', a)
+    bad = []
+    for a, h_a in horiz.items():
+        v_a = vert[a]
+        for ap, apa in h_a.items():
+            v_ap, v_apa = vert[ap], vert[apa]
+            for b, ba in v_a.items():
+                h_b, h_ba = horiz[b], horiz[ba]
+                for bp, bpap in v_ap.items():
+                    lhs, rhs = h_ba.get(bpap), v_apa.get(h_b.get(bp))
+                    if lhs != rhs and None not in (lhs, rhs):
+                        bad.append((bp, ap, b, a))
+    ex("interchange", bad)
     return AxiomReport(failures)
 
 
-def _boundary_failures(cat):
-    """Composable pairs whose composite has the wrong boundary, level by level."""
-    for cells, pairs, table in (
-        (cat.one_cells, cat.one_pairs, cat.one_compose),
-        (cat.two_cells, cat.vert_pairs, cat.vert_compose),
-    ):
-        for g, f in pairs():
-            ends = cells[table[(g, f)]]
-            if ends[0] != cells[f][0] or ends[1] != cells[g][1]:
-                yield g, f
-    for b, a in cat.horiz_pairs():
-        want = (
-            cat.one_compose.get((cat.vdom(b), cat.vdom(a))),
-            cat.one_compose.get((cat.vcod(b), cat.vcod(a))),
-        )
-        if cat.two_cells[cat.horiz_compose[(b, a)]] != want:
-            yield b, a
+def _rows_after(cells, table):
+    """The rows of ``table`` by the cell applied first: ``after[f][g] == table[g, f]``."""
+    after = {cell: {} for cell in cells}
+    for (g, f), v in table.items():
+        after[f][g] = v
+    return after
 
 
-def _unit_laws(cat, ex):
-    for law, below, cells, identity, table in (
-        ("1-unit", cat.objects, cat.one_cells, cat.one_identity, cat.one_compose),
-        ("v-unit", cat.one_cells, cat.two_cells, cat.two_identity, cat.vert_compose),
-    ):
-        for x in sorted(below):
-            if cells[identity[x]] != (x, x):
-                ex(law, x)
-                break
-        else:
-            for f in sorted(cells):
-                d, c = cells[f]
-                if table.get((identity[c], f)) != f or table.get((f, identity[d])) != f:
-                    ex(law, f)
-                    break
-
-    for t in sorted(cat.two_cells):
-        he_dom = cat.two_identity[cat.one_identity[cat.hdom(t)]]
-        he_cod = cat.two_identity[cat.one_identity[cat.hcod(t)]]
-        left = cat.horiz_compose.get((he_cod, t))
-        right = cat.horiz_compose.get((t, he_dom))
-        if left != t or right != t:
-            ex("h-unit", t)
-            break
+def _unit_law(below, cells, identity, after):
+    """The cells of ``below`` whose identity has the wrong boundary, or
+    else the cells of ``cells`` that an identity does not fix."""
+    bad = [(x,) for x in below if cells[identity[x]] != (x, x)]
+    return bad or [
+        (f,) for f, (d, c) in cells.items()
+        if after[f].get(identity[c]) != f or after[identity[d]].get(f) != f
+    ]
 
 
-def _assoc_law(triples, table, law, ex):
-    # a composite with a corrupt boundary has no row; the boundary law reports it
-    get = table.get
-    least = min((
-        (c, b, a) for c, b, a in triples
-        if (lhs := get((c, table[b, a]))) != (rhs := get((table[c, b], a)))
-        and None not in (lhs, rhs)
-    ), default=None)
-    if least:
-        ex(law, *least)
+def _boundary_law(cat):
+    """The rows ``(g, f)`` whose composite has the wrong boundary, at the
+    first level that has one."""
+    c1, two = cat.one_compose, cat.two_cells
+    for cells, table in ((cat.one_cells, c1), (two, cat.vert_compose)):
+        bad = [
+            (g, f) for (g, f), v in table.items()
+            if cells[v][0] != cells[f][0] or cells[v][1] != cells[g][1]
+        ]
+        if bad:
+            return bad
+    return [
+        (b, a) for (b, a), v in cat.horiz_compose.items()
+        if two[v] != (c1.get((two[b][0], two[a][0])), c1.get((two[b][1], two[a][1])))
+    ]
 
 
-def _interchange_law(cat, ex):
-    vt, ht = cat.vert_compose, cat.horiz_compose
-    least = min((
-        (bp, ap, b, a) for (bp, ap), (b, a) in cat.horiz_vert_pairs()
-        if (lhs := ht.get((vt[bp, ap], vt[b, a])))
-        != (rhs := vt.get((ht.get((bp, b)), ht[ap, a])))
-        and None not in (lhs, rhs)
-    ), default=None)
-    if least:
-        ex("interchange", *least)
+def _assoc_law(after):
+    """The triples ``(c, b, a)`` of ``after`` with ``c(ba) != (cb)a``.  A
+    composite with a corrupt boundary has no row; the boundary law reports it."""
+    bad = []
+    for a, row_a in after.items():
+        for b, ba in row_a.items():
+            row_ba = after[ba]
+            for c, cb in after[b].items():
+                lhs, rhs = row_ba.get(c), row_a.get(cb)
+                if lhs != rhs and None not in (lhs, rhs):
+                    bad.append((c, b, a))
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -562,25 +562,25 @@ def _interchange_law(cat, ex):
 def validate_two_functor(fun):
     """Return the list of structure equations ``fun`` breaks (empty = valid).
 
-    Dangling identifiers in any of the three maps, and ends that are not
-    well formed, raise :class:`MalformedData`; genuine non-commutation is
-    reported as violations citing the offending cells.
+    Dangling identifiers in any of the three maps, ends whose boundaries or
+    identities name no cell, and a source that is not well formed raise
+    :class:`MalformedData`; genuine non-commutation is reported as
+    violations citing the offending cells, table by table and by ``(f, g)``
+    within a table.
     """
     src, tgt = fun.source, fun.target
     ones, twos = _graph_violations(fun)
-    try:
-        for bad, m, pairs, table, image, name in (
-            (ones, fun.f1, src.one_pairs, src.one_compose, tgt.one_compose, "compose1"),
-            (twos, fun.f2, src.vert_pairs, src.vert_compose, tgt.vert_compose, "vcompose"),
-            (twos, fun.f2, src.horiz_pairs, src.horiz_compose, tgt.horiz_compose, "hcompose"),
-        ):
-            for g, f in pairs():
-                want = image.get((m[g], m[f]))
-                if m[table[(g, f)]] != want or want is None:
-                    bad.append(f"{name} not preserved at ({g!r}, {f!r})")
-    except KeyError:
-        check_well_formed(src)
-        raise
+    check_well_formed(src)
+    for bad, m, table, image, name in (
+        (ones, fun.f1, src.one_compose, tgt.one_compose, "compose1"),
+        (twos, fun.f2, src.vert_compose, tgt.vert_compose, "vcompose"),
+        (twos, fun.f2, src.horiz_compose, tgt.horiz_compose, "hcompose"),
+    ):
+        broken = [
+            (f, g) for (g, f), v in table.items()
+            if m[v] != (want := image.get((m[g], m[f]))) or want is None
+        ]
+        bad += [f"{name} not preserved at ({g!r}, {f!r})" for f, g in sorted(broken)]
     return ones + twos
 
 

@@ -192,9 +192,14 @@ def _levelwise(fun):
     yield sorted(src.horiz_pairs()), {
         (b, a): (fun.f2[b], fun.f2[a]) for b, a in src.horiz_pairs()
     }
-    yield sorted(src.horiz_vert_pairs()), {
+    # horizontally composable pairs of vertically composable pairs
+    over = {}
+    for b, a in src.vert_pairs():
+        over.setdefault(a, []).append((b, a))
+    stacked = [(p, q) for ap, a in src.horiz_pairs() for p in over.get(ap, ()) for q in over.get(a, ())]
+    yield sorted(stacked), {
         (p, q): ((fun.f2[p[0]], fun.f2[p[1]]), (fun.f2[q[0]], fun.f2[q[1]]))
-        for p, q in src.horiz_vert_pairs()
+        for p, q in stacked
     }
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import twocat as tc
+from twocat import core
 from twocat.core import build_two_category
 
 from conftest import identity_on_cells, on_reference, pick_functor, reference_category
@@ -120,6 +121,15 @@ class TestFunctorValidation:
         with pytest.raises(tc.MalformedData):
             tc.validate_two_functor(broken)
 
+    def test_non_composable_source_row_is_malformed(self):
+        fun = tc.identity_two_functor(tc.make_T())
+        rows = {**fun.source.vert_compose, ("t1", "t1"): "t1"}
+        broken = dataclasses.replace(
+            fun, source=dataclasses.replace(fun.source, vert_compose=rows)
+        )
+        with pytest.raises(tc.MalformedData, match=r"vcompose has a non-composable row \('t1', 't1'\)"):
+            tc.validate_two_functor(broken)
+
 
 #: The gallery objects whose tables, identity maps and reflection units
 #: the kernel pins mutate.
@@ -132,6 +142,14 @@ CATEGORY_MAPS = {
     "two_identity": "two_cells",
     "vert_compose": "two_cells",
     "horiz_compose": "two_cells",
+}
+
+#: The composition tables of a 2-category, each with the carrier its values
+#: lie in and the carrier one level down.
+TABLES = {
+    "one_compose": ("one_cells", "objects"),
+    "vert_compose": ("two_cells", "one_cells"),
+    "horiz_compose": ("two_cells", "one_cells"),
 }
 
 #: The maps of a 2-functor, each with the target carrier its values lie in.
@@ -172,6 +190,28 @@ def boundary_mutations(cat):
                 yield dataclasses.replace(cat, **{field: {**cells, u: ends}})
 
 
+def row_malformations(cat):
+    """Copies of ``cat`` with one table row malformed.
+
+    Per table: a row on the least pair that is not composable; and for each
+    row, the row dropped, its key replaced by something that is not a pair
+    (a triple, a 1-tuple, the two names run together), and its value
+    replaced by a cell of the level below.
+    """
+    for field, (carrier, below) in TABLES.items():
+        table = getattr(cat, field)
+        cells = sorted(getattr(cat, carrier))
+        loose = next((g, f) for g in cells for f in cells if (g, f) not in table)
+        yield dataclasses.replace(cat, **{field: {**table, loose: cells[0]}})
+        lower = min(getattr(cat, below))
+        for (g, f), value in table.items():
+            rest = {key: v for key, v in table.items() if key != (g, f)}
+            yield dataclasses.replace(cat, **{field: rest})
+            for key in ((g, f, g), (g,), f"{g}{f}"):
+                yield dataclasses.replace(cat, **{field: {**rest, key: value}})
+            yield dataclasses.replace(cat, **{field: {**table, (g, f): lower}})
+
+
 def outcome(check, value, errors):
     """What ``check(value)`` returns, or the name and text of the package
     error (one of ``errors``) that it raises."""
@@ -191,6 +231,20 @@ def law_failures(reference, cat):
     )
     assert ours == theirs, cat
     return ours
+
+
+def functor_outcomes(reference, unit):
+    """What ``validate_two_functor`` says of each single-entry mutation of
+    ``unit``, each equal to the reference's."""
+    for broken in single_entry_mutations(unit, FUNCTOR_MAPS, unit.target):
+        ours = outcome(tc.validate_two_functor, broken, tc.TwoCatError)
+        theirs = outcome(
+            reference.validate_two_functor,
+            on_reference(reference, broken),
+            reference.TwoCatError,
+        )
+        assert ours == theirs, (broken.f0, broken.f1, broken.f2)
+        yield ours
 
 
 class TestKernelChecksMatchTheReference:
@@ -217,21 +271,81 @@ class TestKernelChecksMatchTheReference:
         assert boundary_broken > 0
 
     @pytest.mark.parametrize("name", sorted(MUTATED))
+    def test_row_malformations(self, name, reference):
+        # the counting check hands every malformed table to the set-based
+        # check, which names the row and keeps the order between tables
+        cat = MUTATED[name]()
+        errors = [law_failures(reference, broken) for broken in row_malformations(cat)]
+        assert {kind for kind, _ in errors} == {"MalformedData"}
+        for table in ("compose1", "vcompose", "hcompose"):
+            assert any(text.startswith(table) for _, text in errors)
+
+    def test_a_key_that_spells_a_composable_pair(self, reference):
+        # "ff" unpacks to the pair ("f", "f") it replaces, so only the
+        # type of the key tells it from a row
+        cat = build_two_category(
+            objects=("x",), one_cells={"f": ("x", "x")}, two_cells={},
+            one_compose={("f", "f"): "f"},
+        )
+        rows = {key: v for key, v in cat.one_compose.items() if key != ("f", "f")}
+        broken = dataclasses.replace(cat, one_compose={**rows, "ff": "f"})
+        assert law_failures(reference, broken) == (
+            "MalformedData", "compose1 has a non-composable row ff"
+        )
+
+    def test_table_mutations_of_random_instances(self, reference):
+        compared = failed = 0
+        for seed in range(60):
+            cat = tc.random_instance(seed)
+            tables = {field: carrier for field, (carrier, _) in TABLES.items()}
+            for broken in single_entry_mutations(cat, tables, cat):
+                failures = law_failures(reference, broken)
+                compared += 1
+                failed += isinstance(failures, dict) and bool(failures)
+        assert compared > 10_000 and failed > 1_000
+
+    @pytest.mark.parametrize("name", sorted(MUTATED))
     def test_unit_mutations(self, name, reference):
         unit = tc.reflect(MUTATED[name]()).unit
         levels_mixed = 0
-        for broken in single_entry_mutations(unit, FUNCTOR_MAPS, unit.target):
-            ours = outcome(tc.validate_two_functor, broken, tc.TwoCatError)
-            theirs = outcome(
-                reference.validate_two_functor,
-                on_reference(reference, broken),
-                reference.TwoCatError,
-            )
-            assert ours == theirs, (broken.f0, broken.f1, broken.f2)
+        for ours in functor_outcomes(reference, unit):
             kinds = {text.split()[0] for text in ours} if isinstance(ours, list) else set()
             levels_mixed += {"compose1", "vdom"} <= kinds
         # the order of the levels is pinned only where both levels fail
         assert levels_mixed > 0
+
+    @pytest.mark.parametrize("name", sorted(MUTATED))
+    def test_violations_come_in_pair_order_not_row_order(self, name, reference):
+        unit = tc.reflect(MUTATED[name]()).unit
+        rows = {field: dict(reversed(getattr(unit.source, field).items())) for field in TABLES}
+        unit = dataclasses.replace(unit, source=dataclasses.replace(unit.source, **rows))
+        several = 0
+        for ours in functor_outcomes(reference, unit):
+            several += isinstance(ours, list) and sum("compose " in v for v in ours) > 1
+        assert several > 0
+
+
+class TestLawsAreReadFromTheRows:
+    """On well-formed input the kernel checks derive no composable pairs
+    and leave no cached attribute on the category."""
+
+    @pytest.mark.parametrize("name", ["T2", "h4na", "v4 cover", "vh4"])
+    def test_no_pair_walk_and_no_cache(self, name, monkeypatch):
+        make = {**MUTATED, "v4 cover": lambda: tc.edm_cover(tc.make_v4())[0], "vh4": tc.make_vh4}
+        cat = dataclasses.replace(make[name]())
+        fields = set(vars(cat))
+
+        def refuse(*args):
+            raise AssertionError("derived the composable pairs")
+
+        for method in ("one_pairs", "vert_pairs", "horiz_pairs"):
+            monkeypatch.setattr(core._Carriers, method, refuse)
+        monkeypatch.setattr(core, "_chains", refuse)
+        monkeypatch.setattr(core, "_check_table", refuse)
+        core.check_well_formed(cat)
+        report = tc.validate_two_category(cat)
+        assert set(report.failures) == ({"h-assoc"} if name == "h4na" else set())
+        assert set(vars(cat)) == fields
 
 
 class TestVerticalHom:
