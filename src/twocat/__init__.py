@@ -31,7 +31,6 @@ from .core import (
     identity_two_functor,
     validate_two_category,
     validate_two_functor,
-    vertical_hom,
 )
 from .errors import (
     BudgetExceeded,

@@ -9,7 +9,7 @@ hom-wise predicates visit only nonempty vertical homs.
 
 from dataclasses import dataclass
 
-from .core import _bijectivity_witness, enumerate_two_functors
+from .core import _bijectivity_witness, _chains, enumerate_two_functors
 from .limits import pullback
 from .reflection import _probe_object, _reflected_square, is_two_preorder
 
@@ -42,12 +42,12 @@ def is_edm(fun, witness=None):
     last entry is applied first), prefixed with ``v`` or ``h``.
     """
     src, tgt, f2 = fun.source, fun.target, fun.f2
-    for kind, source_triples, target_triples in (
-        ("v", src.vert_triples, tgt.vert_triples),
-        ("h", src.horiz_triples, tgt.horiz_triples),
+    for kind, source_ends, target_ends in (
+        ("v", src.two_cells, tgt.two_cells),
+        ("h", src.horiz_ends(), tgt.horiz_ends()),
     ):
-        image = {(f2[c3], f2[c2], f2[c1]) for c3, c2, c1 in source_triples()}
-        least = min((t for t in target_triples() if t not in image), default=None)
+        image = {(f2[c3], f2[c2], f2[c1]) for c3, c2, c1 in _chains(source_ends, 3)}
+        least = min((t for t in _chains(target_ends, 3) if t not in image), default=None)
         if least:
             if witness is not None:
                 witness.append((kind,) + least)

@@ -1,9 +1,11 @@
 """Finite 2-categories and 2-functors: carriers, law validation, search.
 
 A 2-category is stored as explicit finite carriers (objects, 1-cells,
-2-cells) together with total composition tables.  Composable-pair sets are
-never stored; they are derived from the boundary maps on demand.  Values are
-treated as immutable: no operation mutates its inputs.
+2-cells) together with total composition tables.  Composable chains are
+never stored: the law checks read the tables' rows, and ``_chains`` walks
+the composable pairs or triples of a map from cells to their ends inside
+each call that needs them.  Values are treated as immutable: no operation
+mutates its inputs.
 """
 
 from dataclasses import dataclass
@@ -35,11 +37,12 @@ LAW_NAMES = (
 
 
 class _Carriers:
-    """Boundary accessors and derived pair sets of explicit finite carriers.
+    """Boundary accessors and hom sets of explicit finite carriers.
 
     ``one_cells`` maps a 1-cell id to its ``(dom, cod)`` objects;
-    ``two_cells`` maps a 2-cell id to its ``(vdom, vcod)`` 1-cells.  Pairs
-    ``(g, f)`` mean "g after f".
+    ``two_cells`` maps a 2-cell id to its ``(vdom, vcod)`` 1-cells; both,
+    and :meth:`horiz_ends`, are ends maps that :func:`_chains` walks.
+    Pairs ``(g, f)`` mean "g after f".
     """
 
     def __post_init__(self):
@@ -64,69 +67,49 @@ class _Carriers:
     def hcod(self, t):
         return self.one_cells[self.two_cells[t][0]][1]
 
-    # -- derived pair sets --------------------------------------------------
-    def one_pairs(self):
-        """Composable 1-cell pairs ``(g, f)`` with ``dom g == cod f``."""
-        return _chains(self.one_cells, self._ones_by_dom, self.cod, 2)
-
-    def vert_pairs(self):
-        """Vertically composable 2-cell pairs ``(b, a)``."""
-        return _chains(self.two_cells, self._twos_by_vdom, self.vcod, 2)
-
-    def horiz_pairs(self):
-        """Horizontally composable 2-cell pairs ``(b, a)``."""
-        return _chains(self.two_cells, self._twos_by_hdom, self.hcod, 2)
-
-    def vert_triples(self):
-        """Vertically composable triples ``(c3, c2, c1)``, c1 applied first."""
-        return _chains(self.two_cells, self._twos_by_vdom, self.vcod, 3)
-
-    def horiz_triples(self):
-        """Horizontally composable triples ``(c3, c2, c1)``, c1 applied first."""
-        return _chains(self.two_cells, self._twos_by_hdom, self.hcod, 3)
-
-    @cached_property
-    def _ones_by_dom(self):
-        return _group(self.one_cells, self.dom)
+    def horiz_ends(self):
+        """Each 2-cell's horizontal ``(hdom, hcod)``: the ends of its vertical domain."""
+        one = self.one_cells
+        return {t: one[h] for t, (h, _) in self.two_cells.items()}
 
     @cached_property
     def _ones_by_ends(self):
         return _group(self.one_cells, self.one_cells.__getitem__)
 
     @cached_property
-    def _twos_by_vdom(self):
-        return _group(self.two_cells, self.vdom)
-
-    @cached_property
-    def _twos_by_hdom(self):
-        return _group(self.two_cells, self.hdom)
-
-    @cached_property
     def _hom_index(self):
         return _group(self.two_cells, self.two_cells.__getitem__)
 
     def hom(self, h, k):
-        """The 2-cells from ``h`` to ``k``, in identifier order."""
+        """The 2-cells from ``h`` to ``k``, in identifier order.
+
+        Raises :class:`UnknownCell` unless both are 1-cells.
+        """
+        for u in (h, k):
+            if u not in self.one_cells:
+                raise UnknownCell(f"unknown 1-cell {u!r}")
         return tuple(self._hom_index.get((h, k), ()))
 
     def carrier_sizes(self):
         return len(self.objects), len(self.one_cells), len(self.two_cells)
 
 
-def _chains(cells, by_start, end, length):
+def _chains(ends, length=2):
     """Composable pairs ``(g, f)``, or triples ``(h, g, f)`` if ``length`` is 3.
 
-    ``f`` is applied first.  ``by_start`` groups the cells by where they
-    start and ``end`` says where a cell ends.  Chains come in identifier
-    order of ``f``, then ``g``, then ``h``; the walk is lazy.
+    ``ends`` maps each cell to its ``(start, end)``; ``g`` follows ``f``
+    when ``g`` starts where ``f`` ends, and ``f`` is applied first.  Chains
+    come in identifier order of ``f``, then ``g``, then ``h``; the cells are
+    grouped by start for the call and the walk is lazy.
     """
+    by_start = _group(ends, lambda cell: ends[cell][0])
     if length == 2:
-        return ((g, f) for f in sorted(cells) for g in by_start.get(end(f), ()))
+        return ((g, f) for f in sorted(ends) for g in by_start.get(ends[f][1], ()))
     return (
         (h, g, f)
-        for f in sorted(cells)
-        for g in by_start.get(end(f), ())
-        for h in by_start.get(end(g), ())
+        for f in sorted(ends)
+        for g in by_start.get(ends[f][1], ())
+        for h in by_start.get(ends[g][1], ())
     )
 
 
@@ -355,21 +338,21 @@ def assemble_two_category(graph, one_rule, vert_rule, horiz_rule):
     law, and :class:`LawViolation` names the least such pair.
     """
 
-    def table(pairs, rule, cells):
-        out = {pair: rule(pair) for pair in pairs}
-        if not cells.keys() >= set(out.values()):
-            raise LawViolation("boundary", min(p for p, v in out.items() if v not in cells))
+    def table(ends, rule):
+        out = {pair: rule(pair) for pair in _chains(ends)}
+        if not ends.keys() >= set(out.values()):
+            raise LawViolation("boundary", min(p for p, v in out.items() if v not in ends))
         return out
 
     return TwoCategory(
         objects=graph.objects,
         one_cells=graph.one_cells,
         one_identity=graph.one_identity,
-        one_compose=table(graph.one_pairs(), one_rule, graph.one_cells),
+        one_compose=table(graph.one_cells, one_rule),
         two_cells=graph.two_cells,
         two_identity=graph.two_identity,
-        vert_compose=table(graph.vert_pairs(), vert_rule, graph.two_cells),
-        horiz_compose=table(graph.horiz_pairs(), horiz_rule, graph.two_cells),
+        vert_compose=table(graph.two_cells, vert_rule),
+        horiz_compose=table(graph.horiz_ends(), horiz_rule),
     )
 
 
@@ -388,13 +371,11 @@ def check_well_formed(cat):
     count is compared with the pair set, for its least bad row.
     """
     _check_carriers(cat)
-    one, two = cat.one_cells, cat.two_cells
-    # a 2-cell's horizontal boundary is the boundary of its vertical domain
-    horiz = {t: one[h] for t, (h, _) in two.items()}
-    for table, ends, carrier, pairs, name in (
-        (cat.one_compose, one, one, cat.one_pairs, "compose1"),
-        (cat.vert_compose, two, two, cat.vert_pairs, "vcompose"),
-        (cat.horiz_compose, horiz, two, cat.horiz_pairs, "hcompose"),
+    # each table's cells with their ends; a table's values must be among them
+    for table, ends, name in (
+        (cat.one_compose, cat.one_cells, "compose1"),
+        (cat.vert_compose, cat.two_cells, "vcompose"),
+        (cat.horiz_compose, cat.horiz_ends(), "hcompose"),
     ):
         try:
             starts = {}  # cells per meeting point, counted by where they start
@@ -404,12 +385,12 @@ def check_well_formed(cat):
                 len(table) == sum(map(starts.get, map(itemgetter(1), ends.values()), repeat(0)))
                 and set(map(type, table)) <= {tuple}
                 and all(ends[g][0] == ends[f][1] for g, f in table)
-                and carrier.keys() >= set(table.values())
+                and ends.keys() >= set(table.values())
             )
         except (KeyError, TypeError, ValueError):
             counted = False
         if not counted:
-            _check_table(table, set(pairs()), carrier, name)
+            _check_table(table, set(_chains(ends)), ends, name)
 
 
 def _check_carriers(cat):
@@ -645,14 +626,6 @@ def _bijectivity_witness(mapping, codomain):
         images[value] = key
     unhit = set(codomain) - set(images)
     return (min(unhit),) if unhit else None
-
-
-def vertical_hom(cat, h, k):
-    """The set of 2-cells with vertical domain ``h`` and codomain ``k``."""
-    for u in (h, k):
-        if u not in cat.one_cells:
-            raise UnknownCell(f"unknown 1-cell {u!r}")
-    return frozenset(cat.hom(h, k))
 
 
 def identity_two_functor(cat):

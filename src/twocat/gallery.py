@@ -8,6 +8,7 @@ from .core import (
     SearchCaps,
     TwoFunctor,
     TwoReflexiveGraph,
+    _chains,
     assemble_two_category,
     build_two_category,
     coproduct,
@@ -172,7 +173,7 @@ def _free_two_preorder_with_meta(presentation):
     # between the composite boundaries
     one_compose = {
         (g, f): pid_of[(one_cells[f][0], one_meta[f] + one_meta[g])]
-        for g, f in graph.one_pairs()
+        for g, f in _chains(one_cells)
     }
 
     def vert(key):
@@ -410,8 +411,8 @@ def edm_summands(base):
         raise LawViolation(*next(iter(failures.items())))
     out = []
     for kind, presentation, triples in (
-        ("v", V4_PRESENTATION, base.vert_triples()),
-        ("h", H4_PRESENTATION, base.horiz_triples()),
+        ("v", V4_PRESENTATION, _chains(base.two_cells, 3)),
+        ("h", H4_PRESENTATION, _chains(base.horiz_ends(), 3)),
     ):
         free = _free_two_preorder_with_meta(presentation)
         for c3, c2, c1 in triples:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import twocat as tc
+from twocat import core
 
 #: The copy of the package that the benchmark times against; never edited.
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -178,7 +179,7 @@ def descent_probe_setup():
         f2={t: ("a03" if t == "a03x" else t) for t in h4na.two_cells},
     )
     failing = set()
-    for c3, c2, c1 in h4na.horiz_triples():
+    for c3, c2, c1 in core._chains(h4na.horiz_ends(), 3):
         lhs = h4na.horiz_compose[(h4na.horiz_compose[(c3, c2)], c1)]
         rhs = h4na.horiz_compose[(c3, h4na.horiz_compose[(c2, c1)])]
         if lhs != rhs:

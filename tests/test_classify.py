@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import twocat as tc
+from twocat import core
 
 from conftest import descent_probe_setup, identity_on_cells, on_reference, pick_functor
 
@@ -183,20 +184,23 @@ def _levelwise(fun):
     yield sorted(src.objects), dict(fun.f0)
     yield sorted(src.one_cells), dict(fun.f1)
     yield sorted(src.two_cells), dict(fun.f2)
-    yield sorted(src.one_pairs()), {
-        (g, f): (fun.f1[g], fun.f1[f]) for g, f in src.one_pairs()
+    yield sorted(core._chains(src.one_cells)), {
+        (g, f): (fun.f1[g], fun.f1[f]) for g, f in core._chains(src.one_cells)
     }
-    yield sorted(src.vert_pairs()), {
-        (b, a): (fun.f2[b], fun.f2[a]) for b, a in src.vert_pairs()
+    yield sorted(core._chains(src.two_cells)), {
+        (b, a): (fun.f2[b], fun.f2[a]) for b, a in core._chains(src.two_cells)
     }
-    yield sorted(src.horiz_pairs()), {
-        (b, a): (fun.f2[b], fun.f2[a]) for b, a in src.horiz_pairs()
+    yield sorted(core._chains(src.horiz_ends())), {
+        (b, a): (fun.f2[b], fun.f2[a]) for b, a in core._chains(src.horiz_ends())
     }
     # horizontally composable pairs of vertically composable pairs
     over = {}
-    for b, a in src.vert_pairs():
+    for b, a in core._chains(src.two_cells):
         over.setdefault(a, []).append((b, a))
-    stacked = [(p, q) for ap, a in src.horiz_pairs() for p in over.get(ap, ()) for q in over.get(a, ())]
+    stacked = [
+        (p, q) for ap, a in core._chains(src.horiz_ends())
+        for p in over.get(ap, ()) for q in over.get(a, ())
+    ]
     yield sorted(stacked), {
         (p, q): ((fun.f2[p[0]], fun.f2[p[1]]), (fun.f2[q[0]], fun.f2[q[1]]))
         for p, q in stacked

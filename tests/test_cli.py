@@ -8,11 +8,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twocat as tc
@@ -294,6 +295,88 @@ class TestFuzzedRows:
         file = tmp_path_factory.mktemp("rows") / "doc.json"
         file.write_text(json.dumps(doc), encoding="utf-8")
         _run_documented("category", file)
+
+
+#: The pieces of relabeled identifiers: the delimiters of computed names.
+DELIMITERS = ("(", ")", "|", "\\", "=>", " ")
+
+#: The subcommands run on a relabeled identity functor and on its source,
+#: with ``{}`` for the file of that document kind.
+RELABELED_COMMANDS = (
+    ("functor", ["pullback", "{}", "{}"]),
+    ("functor", ["factor", "--system", "reflective", "{}"]),
+    ("functor", ["factor", "--system", "monotone-light", "{}"]),
+    ("functor", ["classify", "--oracle", "{}"]),
+    ("category", ["reflect", "{}"]),
+    ("category", ["edm-cover", "{}"]),
+)
+
+
+def _relabel(value, names):
+    """A document with every identifier in it renamed by ``names``."""
+    if isinstance(value, dict):
+        return {key: _relabel(item, names) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_relabel(item, names) for item in value]
+    return names[value]
+
+
+def _run_relabeled(directory, doc):
+    """Exit code, stdout and stderr of each of ``RELABELED_COMMANDS`` on the
+    functor document ``doc`` or its source."""
+    files = {"functor": directory / "functor.json", "category": directory / "category.json"}
+    files["functor"].write_text(json.dumps(doc), encoding="utf-8")
+    files["category"].write_text(json.dumps(doc["source"]), encoding="utf-8")
+    return [_run(command, files[kind]) for kind, command in RELABELED_COMMANDS]
+
+
+@functools.cache
+def _plain_runs(name):
+    """What ``_run_relabeled`` gives on the identity functor of ``name`` as it is."""
+    with tempfile.TemporaryDirectory() as directory:
+        return _run_relabeled(Path(directory), json.loads(_identity_document_text(name)))
+
+
+class TestDelimiterIdentifiers:
+    """Identity functors of T and T3 whose ids are built from the
+    delimiters of computed names: every subcommand ends as it does on the
+    plain ids, and the computed pullback apex and factorization middles
+    keep their carrier sizes, so no two computed names merge."""
+
+    # ids of T in document order: a, b; h, h', id:a, id:b; t1, vid:h, ...
+    # There (h=>h'|t1) and (h=>h|vid:h) both read "((|)=>(|)| )" unescaped.
+    COLLIDING = ["=>", "\\", "(|)", "(", "|", ")", ")| ", " ", "((", "))", "||", "=>=>", "\\\\"]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @example(name="T", labels=COLLIDING)
+    @given(
+        name=st.sampled_from(["T", "T3"]),
+        labels=st.lists(
+            st.lists(st.sampled_from(DELIMITERS), min_size=1, max_size=5).map("".join),
+            min_size=13,
+            max_size=13,
+            unique=True,
+        ),
+    )
+    def test_subcommands_keep_their_outcome_and_sizes(self, tmp_path_factory, name, labels):
+        doc = json.loads(_identity_document_text(name))
+        source = doc["source"]
+        cells = source["one_cells"] + source["two_cells"]
+        ids = [*source["objects"], *(cell["id"] for cell in cells)]
+        relabeled = _relabel(doc, dict(zip(ids, labels)))
+        runs = _run_relabeled(tmp_path_factory.mktemp("delimiters"), relabeled)
+        for (_, command), (code, out, err), (plain_code, plain_out, _) in zip(
+            RELABELED_COMMANDS, runs, _plain_runs(name)
+        ):
+            assert code in (0, 1, 2, 3) and code == plain_code, command
+            assert "Traceback" not in err, command
+            if code == 0:
+                payload, plain = json.loads(out), json.loads(plain_out)
+                key = {"pullback": "apex", "factor": "middle"}.get(command[0])
+                if key:
+                    levels = ("objects", "one_cells", "two_cells")
+                    sizes = [len(payload[key][level]) for level in levels]
+                    assert sizes == [len(plain[key][level]) for level in levels], command
 
 
 @pytest.fixture()

@@ -338,8 +338,6 @@ class TestLawsAreReadFromTheRows:
         def refuse(*args):
             raise AssertionError("derived the composable pairs")
 
-        for method in ("one_pairs", "vert_pairs", "horiz_pairs"):
-            monkeypatch.setattr(core._Carriers, method, refuse)
         monkeypatch.setattr(core, "_chains", refuse)
         monkeypatch.setattr(core, "_check_table", refuse)
         core.check_well_formed(cat)
@@ -348,23 +346,48 @@ class TestLawsAreReadFromTheRows:
         assert set(vars(cat)) == fields
 
 
+class TestChainWalkCachesNothing:
+    """``is_edm`` and ``edm_summands`` walk composable triples inside the
+    call and leave no cached attribute on the category."""
+
+    MAKE = {
+        "T3": lambda: tc.make_Tn(3),
+        "v4": tc.make_v4,
+        "v4 cover": lambda: tc.edm_cover(tc.make_v4())[0],
+    }
+
+    @pytest.mark.parametrize("name", ["T3", "v4", "v4 cover"])
+    def test_is_edm(self, name):
+        cat = dataclasses.replace(self.MAKE[name]())
+        fields = set(vars(cat))
+        assert tc.is_edm(tc.identity_two_functor(cat))
+        assert set(vars(cat)) == fields
+
+    @pytest.mark.parametrize("name", ["T3", "v4"])
+    def test_edm_summands(self, name):
+        cat = dataclasses.replace(self.MAKE[name]())
+        fields = set(vars(cat))
+        assert tc.edm_summands(cat)
+        assert set(vars(cat)) == fields
+
+
 class TestVerticalHom:
     def test_single_cell_between_the_parallel_arrows(self):
-        assert tc.vertical_hom(tc.make_T(), "h", "h'") == frozenset({"t1"})
+        assert frozenset(tc.make_T().hom("h", "h'")) == frozenset({"t1"})
 
     def test_reverse_direction_is_empty(self):
-        assert tc.vertical_hom(tc.make_T(), "h'", "h") == frozenset()
+        assert frozenset(tc.make_T().hom("h'", "h")) == frozenset()
 
     def test_endo_hom_is_the_identity_cell(self):
-        assert tc.vertical_hom(tc.make_T(), "h", "h") == frozenset({"vid:h"})
+        assert frozenset(tc.make_T().hom("h", "h")) == frozenset({"vid:h"})
 
     def test_unknown_cell_raises(self):
         with pytest.raises(tc.UnknownCell):
-            tc.vertical_hom(tc.make_T(), "h", "nope")
+            frozenset(tc.make_T().hom("h", "nope"))
 
     def test_product_hom_sizes_multiply(self):
         prod = tc.product(tc.make_Tn(2), tc.make_Tn(3)).apex
-        assert len(tc.vertical_hom(prod, "(h|h)", "(h'|h')")) == 6
+        assert len(frozenset(prod.hom("(h|h)", "(h'|h')"))) == 6
 
 
 class TestFunctorAlgebra:

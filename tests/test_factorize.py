@@ -20,7 +20,7 @@ class TestMonotoneLight:
         fun = pick_functor(T3, T4, t1="t1", t2="t1", t3="t2")
         fac = tc.monotone_light_factor(fun)
         assert tc.find_isomorphism(fac.middle, tc.make_Tn(2)) is not None
-        hom = tc.vertical_hom(fac.middle, "h", "h'")
+        hom = frozenset(fac.middle.hom("h", "h'"))
         assert {fac.e.f2[t] for t in ("t1", "t2", "t3")} == hom
         assert tc.verify_factorization(fun, fac) == []
 

@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import twocat as tc
+from twocat import core
 from twocat.gallery import TwoGraphPresentation, by_name
 from twocat.serialize import parse_document
 
@@ -177,14 +179,25 @@ class TestDescentCover:
         assert sum(1 for k, *_ in summands if k == "h") == 11
 
     def test_triple_enumerators_agree_with_brute_force(self, gallery_objects):
-        for name in ("T0", "T2", "v4"):
-            cat = gallery_objects[name]
-            assert sorted((c1, c2, c3) for c3, c2, c1 in cat.vert_triples()) == sorted(
-                brute_vertical_triples(cat)
-            )
-            assert sorted((c1, c2, c3) for c3, c2, c1 in cat.horiz_triples()) == sorted(
-                brute_horizontal_triples(cat)
-            )
+        """The chain walk lists every composable pair and triple at each
+        level, ``(h, g, f)`` in identifier order of ``f``, then ``g``, then
+        ``h``: the edm-cover tags and the assembled tables follow it."""
+        for name in ("T0", "T2", "v4", "h4", "h4na"):
+            cat = tc.make_h4_na() if name == "h4na" else gallery_objects[name]
+            for ends in (cat.one_cells, cat.two_cells, cat.horiz_ends()):
+                for length in (2, 3):
+                    brute = sorted(
+                        chain for chain in itertools.product(ends, repeat=length)
+                        if all(ends[f][1] == ends[g][0] for f, g in zip(chain, chain[1:]))
+                    )
+                    walked = list(core._chains(ends, length))
+                    assert walked == [chain[::-1] for chain in brute], (name, length)
+            for ends, triples in (
+                (cat.two_cells, brute_vertical_triples(cat)),
+                (cat.horiz_ends(), brute_horizontal_triples(cat)),
+            ):
+                walked = [(c1, c2, c3) for c3, c2, c1 in core._chains(ends, 3)]
+                assert walked == sorted(triples), name
 
     def test_cover_is_a_preordered_descent_morphism(self):
         for base in (tc.make_T(), tc.make_Tn(2), tc.make_v4()):

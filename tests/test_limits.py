@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twocat as tc
+from twocat import core
 from twocat.core import TwoFunctor, build_two_category
 from twocat.limits import FiniteSquare
 
@@ -409,7 +410,7 @@ finite_maps = st.integers(1, 4).flatmap(
 class TestPullbackSquare:
     def test_composable_pair_square_of_the_probe(self):
         cat = tc.make_T()
-        pairs = {f"{g}*{f}": (g, f) for g, f in cat.one_pairs()}
+        pairs = {f"{g}*{f}": (g, f) for g, f in core._chains(cat.one_cells)}
         square = FiniteSquare(
             p={w: pair[0] for w, pair in pairs.items()},
             q={w: pair[1] for w, pair in pairs.items()},
@@ -420,7 +421,7 @@ class TestPullbackSquare:
 
     def test_dropping_one_pair_breaks_the_square(self):
         cat = tc.make_T()
-        pairs = {f"{g}*{f}": (g, f) for g, f in cat.one_pairs()}
+        pairs = {f"{g}*{f}": (g, f) for g, f in core._chains(cat.one_cells)}
         dropped = sorted(pairs)[0]
         del pairs[dropped]
         square = FiniteSquare(
