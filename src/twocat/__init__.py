@@ -66,6 +66,7 @@ from .gallery import (
 from .limits import (
     FiniteSquare,
     PullbackResult,
+    graph_pullback,
     is_pullback_square,
     pair_into_pullback,
     product,
@@ -78,7 +79,6 @@ from .reflection import (
     check_semi_left_exact,
     check_stable_units,
     connected_component,
-    graph_pullback,
     in_class_E,
     is_two_preorder,
     reflect,

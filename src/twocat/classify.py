@@ -10,7 +10,7 @@ hom-wise predicates visit only nonempty vertical homs.
 from dataclasses import dataclass
 
 from .core import _bijectivity_witness, _chains, enumerate_two_functors
-from .limits import pullback
+from .limits import graph_pullback
 from .reflection import _probe_object, _reflected_square, is_two_preorder
 
 
@@ -146,11 +146,17 @@ def covering_oracle(fun):
 
     Pulls ``fun`` back along every functor from the two-object
     single-2-cell probe into its target and asks that each fiber product
-    is a 2-preorder.
+    is a 2-preorder.  ``fun`` is the second leg, indexed once for all
+    probes.
+
+    Fiber products are built by :func:`graph_pullback`, without tables.
+    Each probe is a 2-functor by enumeration, so for a 2-functor ``fun``
+    the join of the tables could not fail, and the verdict reads carriers
+    only, as the covering predicate does.
     """
     probe = _probe_object()
     for phi in enumerate_two_functors(probe, fun.target):
-        if not is_two_preorder(pullback(phi, fun).apex):
+        if not is_two_preorder(graph_pullback(phi, fun)[0]):
             return False
     return True
 

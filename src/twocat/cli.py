@@ -3,7 +3,8 @@ edm-cover, gallery, iso.
 
 Documents are JSON files; ``-`` reads stdin.  Exit codes: 0 success,
 1 check failure (including law-breaking input that ``reflect``, ``factor``
-and ``edm-cover`` cannot build on), 2 malformed input (also text that is
+and ``edm-cover`` cannot build on, and a functor whose ends break a law,
+which ``classify`` refuses), 2 malformed input (also text that is
 not UTF-8 or JSON nested too deeply to parse), 3 search or budget cap
 exceeded.
 """
@@ -98,6 +99,10 @@ def cmd_reflect(args):
 
 def cmd_classify(args):
     fun = _load_functor(args.file)
+    for end in (fun.source, fun.target):
+        failures = validate_two_category(end).failures
+        if failures:
+            raise LawViolation(*next(iter(failures.items())))
     report = classify(fun)
     doc = report.as_dict()
     doc["witnesses"] = {k: list(v) for k, v in sorted(report.witnesses.items())}

@@ -61,12 +61,6 @@ class _Carriers:
     def vcod(self, t):
         return self.two_cells[t][1]
 
-    def hdom(self, t):
-        return self.one_cells[self.two_cells[t][0]][0]
-
-    def hcod(self, t):
-        return self.one_cells[self.two_cells[t][0]][1]
-
     def horiz_ends(self):
         """Each 2-cell's horizontal ``(hdom, hcod)``: the ends of its vertical domain."""
         one = self.one_cells

@@ -332,7 +332,7 @@ def _collapsed_h4(extra_cell):
             return candidates[0]
         # whiskers of the ambiguous full span must follow their split
         # point, or the interchange law would break too
-        return "a03x" if graph.hcod(a) == "1" else "a03"
+        return "a03x" if graph.cod(graph.vdom(a)) == "1" else "a03"
 
     return assemble_two_category(graph, compose1, vert, horiz)
 

@@ -10,7 +10,7 @@ structures; only the expectations on the result differ.
 import re
 from dataclasses import dataclass
 
-from .core import _TABLES, TwoCategory, TwoFunctor, build_two_category
+from .core import _TABLES, TwoCategory, TwoFunctor, TwoReflexiveGraph, build_two_category
 from .errors import LawViolation, MalformedData, MismatchedTarget
 
 
@@ -157,6 +157,22 @@ def pullback(f, g):
         TwoFunctor(apex, g.source, *projections(names, 1)),
         names,
     )
+
+
+def graph_pullback(f, g):
+    """Componentwise fiber product of graph morphisms with a common target.
+
+    The apex carriers and projections of :func:`pullback`, from the same
+    :func:`fiber_product`, without the composition tables: the apex is a
+    :class:`TwoReflexiveGraph`.
+    """
+    if f.target != g.target:
+        raise MismatchedTarget("graph pullback needs a common target")
+    carriers, names = fiber_product(f, g)
+    apex = TwoReflexiveGraph(**carriers)
+    proj1 = TwoFunctor(apex, f.source, *projections(names, 0))
+    proj2 = TwoFunctor(apex, g.source, *projections(names, 1))
+    return apex, proj1, proj2
 
 
 def pair_into_pullback(result, u, w):

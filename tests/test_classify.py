@@ -313,6 +313,43 @@ class TestAgainstTheReference:
         assert failures > 100  # the witness paths are exercised
 
 
+def edited_identities(cat):
+    """The identity functor of ``cat``, each boundary-preserving edit of its
+    ``f2`` at one cell (onto a parallel cell), and each swap of two parallel
+    cells.  Most edits are no 2-functors; each swap stays injective on homs."""
+    identity = tc.identity_two_functor(cat)
+    edits = [{}]
+    for t, ends in sorted(cat.two_cells.items()):
+        for u in cat._hom_index[ends]:
+            if u != t:
+                edits += [{t: u}] + ([{t: u, u: t}] if t < u else [])
+    return [tc.TwoFunctor(cat, cat, identity.f0, identity.f1, {**identity.f2, **edit})
+            for edit in edits]
+
+
+def outcome_of(check, fun):
+    """The verdict of ``check``, or the type name and message it raised."""
+    try:
+        return check(fun)
+    except Exception as exc:  # compared across the two packages' error types
+        return type(exc).__name__, str(exc)
+
+
+class TestCoveringOracleAgainstTheReference:
+    def test_edited_identities(self, gallery_objects, reference):
+        """The gallery but vh4 and forty seeded random instances; the
+        reference builds every fiber product with its tables."""
+        cats = [cat for name, cat in gallery_objects.items() if name != "vh4"]
+        cats += [tc.random_instance(seed, 4, 16, 32) for seed in range(40)]
+        verdicts = []
+        for cat in cats:
+            for fun in edited_identities(cat):
+                mine = outcome_of(tc.covering_oracle, fun)
+                assert mine == outcome_of(reference.covering_oracle, on_reference(reference, fun))
+                verdicts.append(mine)
+        assert (len(verdicts), verdicts.count(True), verdicts.count(False)) == (261, 119, 142)
+
+
 def levelwise_bijection(fun):
     """Whether each carrier map of ``fun`` is a bijection onto the target's."""
     return all(

@@ -489,10 +489,20 @@ class TestLawBreakingInput:
         for name, value in (("cat", cat), ("id", tc.identity_two_functor(cat))):
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(dumps(to_document(value)), encoding="utf-8")
+        # the identity of h4 with a 1-cell composite retargeted in both ends:
+        # it loads, and neither classify's predicates nor its oracles meet the
+        # broken law, so only the law check of the ends rejects it
+        doc = json.loads(_identity_document_text("h4"))
+        cells = sorted(cell["id"] for cell in doc["target"]["one_cells"])
+        _edit_rows([doc["source"]["compose1"], doc["target"]["compose1"]], cells, "retarget", 13, 0)
+        paths["relaxed"] = tmp_path / "relaxed.json"
+        paths["relaxed"].write_text(json.dumps(doc), encoding="utf-8")
         return paths
 
     COMMANDS = (
         ("reflect", "cat"),
+        ("classify --oracle", "id"),
+        ("classify --oracle", "relaxed"),
         ("factor --system=reflective", "id"),
         ("factor --system=monotone-light", "id"),
         ("edm-cover", "cat"),

@@ -1,12 +1,11 @@
 import dataclasses
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import twocat as tc
-from twocat import core
+from twocat import core, limits
 from twocat.core import TwoFunctor, build_two_category
 from twocat.limits import FiniteSquare
 
@@ -138,6 +137,24 @@ class TestLegsThatBreakTheStructure:
         )
 
 
+@pytest.fixture(scope="module")
+def several_partners(gallery_objects):
+    """Cospans that share legs: the gallery units along every probe into
+    their reflections, and the T, T3 and v4 cover projections along every
+    probe and along the identity."""
+    probe = tc.make_T()
+    cospans = []
+    for name, cat in gallery_objects.items():
+        if name != "vh4":
+            unit = tc.reflect(cat).unit
+            cospans += [(unit, mu) for mu in tc.enumerate_two_functors(probe, unit.target)]
+    for base in (probe, tc.make_Tn(3), tc.make_v4()):
+        _, p = tc.edm_cover(base)
+        cospans += [(phi, p) for phi in tc.enumerate_two_functors(probe, base)]
+        cospans.append((p, tc.identity_two_functor(base)))
+    return cospans
+
+
 class TestPullbackMatchesTheReference:
     """Apex, projections and pair names against the pinned reference."""
 
@@ -170,21 +187,10 @@ class TestPullbackMatchesTheReference:
             tc.pullback(fun, idC)
         assert (caught.value.law, caught.value.cells) == ("boundary", least_pair_off(apex))
 
-    def test_legs_pulled_back_against_several_partners(self, reference, gallery_objects):
+    def test_legs_pulled_back_against_several_partners(self, reference, several_partners):
         """One functor object against many partners, in both argument
-        positions, so that a leg's cached index is read again: the gallery
-        units along every probe into their reflections, and the T, T3 and
-        v4 cover projections along every probe and along the identity."""
-        probe = tc.make_T()
-        cospans = []
-        for name, cat in gallery_objects.items():
-            if name != "vh4":
-                unit = tc.reflect(cat).unit
-                cospans += [(unit, mu) for mu in tc.enumerate_two_functors(probe, unit.target)]
-        for base in (probe, tc.make_Tn(3), tc.make_v4()):
-            _, p = tc.edm_cover(base)
-            cospans += [(phi, p) for phi in tc.enumerate_two_functors(probe, base)]
-            cospans.append((p, tc.identity_two_functor(base)))
+        positions, so that a leg's cached index is read again."""
+        cospans = several_partners
         theirs, places = {}, {}
         for f, g in [*cospans, *((g, f) for f, g in cospans)]:
             mine = tc.pullback(f, g)
@@ -225,6 +231,24 @@ class TestPullbackMatchesTheReference:
                 )
             raised.append(type(caught.value).__name__)
         assert raised == (["LawViolation"] * 2 + ["MalformedData"] * 2) * 2
+
+
+class TestGraphPullback:
+    def test_it_is_the_pullback_without_its_tables(self, several_partners):
+        """Apex carriers and projection maps equal those of ``pullback``,
+        also in iteration order."""
+        for f, g in [*several_partners, *((g, f) for f, g in several_partners)]:
+            full = tc.pullback(f, g)
+            apex, *projs = tc.graph_pullback(f, g)
+            assert apex == tc.underlying_two_graph(full.apex)
+            for field in dataclasses.fields(apex):
+                ours, theirs = getattr(apex, field.name), getattr(full.apex, field.name)
+                assert list(ours) == list(theirs), field.name
+            for proj, full_proj in zip(projs, (full.proj1, full.proj2)):
+                assert proj.source is apex and proj.target is full_proj.target
+                for ours, theirs in zip((proj.f0, proj.f1, proj.f2),
+                                        (full_proj.f0, full_proj.f1, full_proj.f2)):
+                    assert list(ours.items()) == list(theirs.items())
 
 
 def assert_same_pullback(mine, ref):
@@ -307,16 +331,16 @@ def index_builds(monkeypatch):
 
 @pytest.fixture()
 def pulled_back(monkeypatch):
-    """The legs of every ``pullback`` call the package makes."""
+    """The legs of every fiber product the package builds, with or without
+    tables: both ``pullback`` and ``graph_pullback`` call ``fiber_product``."""
     log = []
-    real = tc.pullback
+    real = limits.fiber_product
 
     def recording(f, g):
         log.append((f, g))
         return real(f, g)
 
-    for module in ("twocat.reflection", "twocat.classify"):
-        monkeypatch.setattr(sys.modules[module], "pullback", recording)
+    monkeypatch.setattr(limits, "fiber_product", recording)
     return log
 
 
@@ -340,6 +364,31 @@ class TestEachFixedLegIsIndexedOnce:
         assert [g for _, g in pulled_back] == [p] * 12
         assert index_builds == [p] and "_by_image" in vars(p)
         assert not any("_by_image" in vars(phi) for phi, _ in pulled_back)
+
+
+class TableJoined(Exception):
+    pass
+
+
+class TestCarrierOnlyCallersJoinNoTable:
+    """``check_stable_units`` and the covering oracle read carriers only, so
+    they answer with the join of the apex tables disabled."""
+
+    def test_on_v4_h4_and_the_t_cover_projection(self, monkeypatch):
+        v4, h4 = tc.make_v4(), tc.make_h4()
+        _, p = tc.edm_cover(tc.make_T())
+
+        def refuse(*args):
+            raise TableJoined
+
+        monkeypatch.setattr(limits, "_join", refuse)
+        with pytest.raises(TableJoined):
+            tc.pullback(p, tc.identity_two_functor(p.target))
+        for cat in (v4, h4):
+            assert tc.check_stable_units(cat, cat)
+            assert tc.covering_oracle(tc.identity_two_functor(cat))
+        assert tc.check_stable_units(v4, h4) and tc.check_stable_units(h4, v4)
+        assert tc.covering_oracle(p) and tc.is_covering(p)
 
 
 class TestInjectiveNames:

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import twocat as tc
+from twocat import limits
 from twocat.core import build_two_category
 from twocat.reflection import validate_graph_morphism
 from twocat.serialize import parse_document
@@ -410,11 +411,13 @@ class TestComponentsProjectVertically:
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """The arguments of every ``reflect``, ``pullback`` and ``find_isomorphism``
-    call the package makes."""
-    log = {"reflect": [], "pullback": [], "find_isomorphism": []}
-    for name in log:
-        real = getattr(tc, name)
+    """The arguments of every ``reflect``, ``fiber_product`` and
+    ``find_isomorphism`` call the package makes.  Every pullback, with or
+    without tables, builds its carriers by one ``fiber_product`` call."""
+    homes = {"reflect": tc, "fiber_product": limits, "find_isomorphism": tc}
+    log = {name: [] for name in homes}
+    for name, home in homes.items():
+        real = getattr(home, name)
 
         def counting(*args, _name=name, _real=real):
             log[_name].append(args)
@@ -437,8 +440,8 @@ def reflections_of(cat, calls):
 
 
 def components_of(cat, calls):
-    """Pullbacks of the unit of ``cat``, the only functor out of ``cat`` pulled back."""
-    return sum(any(leg.source is cat for leg in args) for args in calls["pullback"])
+    """Fiber products of the unit of ``cat``, the only functor out of ``cat`` pulled back."""
+    return sum(any(leg.source is cat for leg in args) for args in calls["fiber_product"])
 
 
 class TestEachCategoryIsReflectedOnce:
@@ -451,7 +454,7 @@ class TestEachCategoryIsReflectedOnce:
         assert tc.check_semi_left_exact(cat)
         assert [args[0] for args in calls["reflect"]] == [cat]
         assert calls["find_isomorphism"] == []
-        assert len(calls["pullback"]) == components_of(cat, calls) == probe_count(cat) > 1
+        assert len(calls["fiber_product"]) == components_of(cat, calls) == probe_count(cat) > 1
 
     def test_stable_units_build_each_component_of_other_once(self, calls):
         cat, _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
@@ -461,7 +464,7 @@ class TestEachCategoryIsReflectedOnce:
         assert calls["find_isomorphism"] == []
         assert components_of(cat, calls) == probe_count(cat) > 1
         assert components_of(other, calls) == probe_count(other) > 1
-        assert len(calls["pullback"]) == probe_count(cat) + probe_count(other)
+        assert len(calls["fiber_product"]) == probe_count(cat) + probe_count(other)
 
     @pytest.mark.parametrize("check", [tc.reflective_factor, tc.trivial_covering_oracle])
     def test_reflected_square(self, calls, t_family, check):
