@@ -96,6 +96,27 @@ def identity_on_cells(cat):
     return {u: u for u in cat.one_cells}
 
 
+def locally_discrete_inclusion(cat):
+    """The inclusion into ``cat`` of its 1-cells with identity 2-cells only.
+
+    Bijective below 2-cells and missing every non-identity hom, so the
+    least-witness order of the vertical classes is exercised.
+    """
+    ids = cat.two_identity
+    sub = tc.TwoCategory(
+        objects=cat.objects,
+        one_cells=cat.one_cells,
+        one_identity=cat.one_identity,
+        one_compose=cat.one_compose,
+        two_cells={ids[h]: (h, h) for h in cat.one_cells},
+        two_identity=ids,
+        vert_compose={(ids[h], ids[h]): ids[h] for h in cat.one_cells},
+        horiz_compose={(ids[g], ids[f]): ids[gf] for (g, f), gf in cat.one_compose.items()},
+    )
+    identity = {t: t for t in sub.two_cells}
+    return tc.TwoFunctor(sub, cat, {x: x for x in cat.objects}, identity_on_cells(cat), identity)
+
+
 def pick_functor(source, target, **cell_images):
     """The unique corpus functor fixing objects/1-cells with given 2-cell images."""
     want_f1 = identity_on_cells(source)

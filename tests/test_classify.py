@@ -5,7 +5,12 @@ import pytest
 import twocat as tc
 from twocat import core
 
-from conftest import descent_probe_setup, identity_on_cells, on_reference, pick_functor
+from conftest import (
+    descent_probe_setup,
+    locally_discrete_inclusion,
+    on_reference,
+    pick_functor,
+)
 
 
 @pytest.fixture(scope="module")
@@ -272,27 +277,6 @@ def differential_functors(corpus_functors, seeded_functors):
     rich = (tc.make_Tn(3), tc.make_v4(), tc.make_h4(), tc.product(tc.make_T(), tc.make_Tn(2)).apex)
     discrete = [locally_discrete_inclusion(cat) for cat in rich]
     return corpus_functors + seeded_functors + between + covers + discrete
-
-
-def locally_discrete_inclusion(cat):
-    """The inclusion into ``cat`` of its 1-cells with identity 2-cells only.
-
-    Bijective below 2-cells and missing every non-identity hom, so the
-    least-witness order of the vertical classes is exercised.
-    """
-    ids = cat.two_identity
-    sub = tc.TwoCategory(
-        objects=cat.objects,
-        one_cells=cat.one_cells,
-        one_identity=cat.one_identity,
-        one_compose=cat.one_compose,
-        two_cells={ids[h]: (h, h) for h in cat.one_cells},
-        two_identity=ids,
-        vert_compose={(ids[h], ids[h]): ids[h] for h in cat.one_cells},
-        horiz_compose={(ids[g], ids[f]): ids[gf] for (g, f), gf in cat.one_compose.items()},
-    )
-    identity = {t: t for t in sub.two_cells}
-    return tc.TwoFunctor(sub, cat, {x: x for x in cat.objects}, identity_on_cells(cat), identity)
 
 
 class TestAgainstTheReference:

@@ -197,12 +197,13 @@ class TestFuzzedFields:
         _run_documented(kind, file)
 
 
-def _run_documented(kind, file):
-    """Run every subcommand that reads ``kind`` on ``file``: each must end in
-    a documented exit without a traceback, and write JSON at exit 0 (but
-    ``validate``, which writes report lines).  Returns what each run gave."""
+def _run_documented(kind, file, commands=None):
+    """Run ``commands``, by default every subcommand that reads ``kind``, on
+    ``file``: each must end in a documented exit without a traceback, and
+    write JSON at exit 0 (but ``validate``, which writes report lines).
+    Returns what each run gave."""
     runs = []
-    for command in FUZZED_COMMANDS[kind]:
+    for command in commands or FUZZED_COMMANDS[kind]:
         code, out, err = _run(command, file)
         assert code in (0, 1, 2, 3), command
         assert "Traceback" not in err, command
@@ -295,6 +296,46 @@ class TestFuzzedRows:
         file = tmp_path_factory.mktemp("rows") / "doc.json"
         file.write_text(json.dumps(doc), encoding="utf-8")
         _run_documented("category", file)
+
+
+def _chain(length, doubled):
+    """The free 2-preorder on the path ``0 -> 1 -> ...`` of ``length``
+    objects; with a second generator beside step ``doubled`` and a 2-cell
+    to it from the first, unless ``doubled`` is None."""
+    generators = {f"g{i}": (str(i), str(i + 1)) for i in range(length - 1)}
+    relations = ()
+    if doubled is not None:
+        generators[f"d{doubled}"] = generators[f"g{doubled}"]
+        relations = (((f"g{doubled}",), (f"d{doubled}",)),)
+    objects = tuple(str(i) for i in range(length))
+    return tc.free_two_preorder(tc.TwoGraphPresentation(objects, generators, relations))
+
+
+class TestDeepChains:
+    """Free 2-preorders on paths of up to 30 objects, whose 1-cells compose
+    to paths up to the whole length: every subcommand, and ``iso`` under
+    raised caps too, ends in a documented exit on the chain or its identity
+    functor.  All but ``iso`` under the default caps, which the larger
+    chains exceed, succeed.  ``edm-cover`` runs only on chains of at most
+    6 objects, where it takes about a third of a second."""
+
+    @settings(max_examples=3, derandomize=True, deadline=None)
+    @example(length=30, step=14)
+    @given(length=st.integers(1, 30), step=st.none() | st.integers(0, 10**6))
+    def test_every_subcommand_ends_in_a_documented_exit(self, tmp_path_factory, length, step):
+        doubled = None if step is None or length < 2 else step % (length - 1)
+        cat = _chain(length, doubled)
+        directory = tmp_path_factory.mktemp("chain")
+        files = {"category": directory / "category.json", "functor": directory / "functor.json"}
+        files["category"].write_text(dumps(to_document(cat)), encoding="utf-8")
+        identity = tc.identity_two_functor(cat)
+        files["functor"].write_text(dumps(to_document(identity)), encoding="utf-8")
+        for kind, file in files.items():
+            commands = [c for c in FUZZED_COMMANDS[kind] if length <= 6 or c[0] != "edm-cover"]
+            if kind == "category":
+                commands.append(["--cap", "2000", "iso", "{}", "{}"])
+            for command, code, _out, _err in _run_documented(kind, file, commands):
+                assert code in ((0, 3) if command[0] == "iso" else (0,)), command
 
 
 #: The pieces of relabeled identifiers: the delimiters of computed names.

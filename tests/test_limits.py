@@ -371,8 +371,9 @@ class TableJoined(Exception):
 
 
 class TestCarrierOnlyCallersJoinNoTable:
-    """``check_stable_units`` and the covering oracle read carriers only, so
-    they answer with the join of the apex tables disabled."""
+    """The covering oracle reads carriers only and ``check_stable_units``
+    builds no pullback, so both answer with the join of the apex tables
+    disabled."""
 
     def test_on_v4_h4_and_the_t_cover_projection(self, monkeypatch):
         v4, h4 = tc.make_v4(), tc.make_h4()

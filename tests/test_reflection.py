@@ -8,12 +8,17 @@ import time
 import pytest
 
 import twocat as tc
-from twocat import limits
-from twocat.core import build_two_category
+from twocat import limits, reflection
+from twocat.core import _bijectivity_witness, build_two_category
 from twocat.reflection import validate_graph_morphism
 from twocat.serialize import parse_document
 
-from conftest import law_breaking_document, pick_functor, reference_category
+from conftest import (
+    law_breaking_document,
+    locally_discrete_inclusion,
+    pick_functor,
+    reference_category,
+)
 
 
 class TestTwoPreorderPredicate:
@@ -391,9 +396,11 @@ def component_legs(cat):
 
 
 class TestComponentsProjectVertically:
-    """The lemma ``check_stable_units`` rests on, checked on the fiber
-    products it does not build: every component's projection onto T is
-    vertical, and so is the projection of every fiber product of two."""
+    """The lemma ``check_stable_units`` is decided by, at the probe T: each
+    reflection unit is stably vertical, so its pullbacks are vertical.
+    Checked on pullbacks the check does not build: every component's
+    projection onto T is vertical, and so is the projection of every fiber
+    product of two."""
 
     def test_on_the_stable_unit_pairs(self, stable_pairs, probe_inputs):
         h4 = probe_inputs["h4"]
@@ -407,6 +414,99 @@ class TestComponentsProjectVertically:
                 assert tc.is_vertical(tc.compose_two_functors(c, tc.pullback(c, d).proj1)), label
                 mixed += 1
         assert mixed > 8_000
+
+
+def inverted_pullbacks(unit, source):
+    """For each probe ``mu: source -> unit.target``, whether the reflection
+    inverts the projection of ``pullback(mu, unit)`` onto ``source``.
+
+    Read off the definition: the reflected projection must be a bijection
+    on objects, on 1-cells and on 2-cells.  It is not read through
+    ``is_vertical`` or ``is_stably_vertical``, which the checks rest on.
+    """
+    verdicts = []
+    for mu in tc.enumerate_two_functors(source, unit.target):
+        reflected = tc.reflect_functor(tc.pullback(mu, unit).proj1)
+        levels = (
+            (reflected.f0, reflected.target.objects),
+            (reflected.f1, reflected.target.one_cells),
+            (reflected.f2, reflected.target.two_cells),
+        )
+        verdicts.append(all(_bijectivity_witness(*level) is None for level in levels))
+    return verdicts
+
+
+#: Probe sources of the semi-left-exactness oracle, all 2-preorders.
+PREORDER_SOURCES = ("T0", "T", "v4")
+
+#: Probe sources of the stable-units oracle: those and a 2-category that is
+#: not a 2-preorder.
+SOURCES = PREORDER_SOURCES + ("T2",)
+
+
+@pytest.fixture(scope="module")
+def oracle_inputs(gallery_objects):
+    """Gallery objects up to h4, six seeded random instances and a coproduct."""
+    cats = {name: gallery_objects[name] for name in ("terminal", "T", "T2", "T3", "v4", "h4")}
+    for seed in range(6):
+        cats[f"random {seed}"] = tc.random_instance(seed, 4, 16, 32)
+    cats["T2+T"], _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
+    return cats
+
+
+class TestProbeClaimsByDefinition:
+    """Both probe checks against their definitions (Cassidy-Hebert-Kelly
+    1985, Carboni-Janelidze-Kelly-Pare 1997): the reflection inverts every
+    pullback of the unit of ``A`` along a probe ``mu: B -> R(A)``, for
+    2-preorders ``B`` (semi-left-exactness) or for every 2-category ``B``
+    (stable units).
+
+    The family of ``B`` is fixed and its probe counts pinned.  The
+    reflection of h4 is left out as a ``B``: its probes took 33 s, because
+    the functor search assigns every object before any 1-cell, so the
+    object images are tried as a product before a boundary prunes them.
+    """
+
+    def test_the_oracle_agrees_with_both_checks(self, oracle_inputs, gallery_objects):
+        assert all(tc.is_two_preorder(gallery_objects[b]) for b in PREORDER_SOURCES)
+        stable, probes = {}, dict.fromkeys(SOURCES, 0)
+        for name, cat in oracle_inputs.items():
+            unit = tc.reflect(cat).unit
+            verdicts = {b: inverted_pullbacks(unit, gallery_objects[b]) for b in SOURCES}
+            for b, found in verdicts.items():
+                probes[b] += len(found)
+            semi_left_exact = all(all(verdicts[b]) for b in PREORDER_SOURCES)
+            assert tc.check_semi_left_exact(cat) == semi_left_exact, name
+            stable[name] = all(map(all, verdicts.values()))
+        for (a, cat), (b, other) in itertools.product(oracle_inputs.items(), repeat=2):
+            assert tc.check_stable_units(cat, other) == (stable[a] and stable[b]), (a, b)
+        assert all(stable.values())
+        assert probes == {"T0": 209, "T": 131, "v4": 333, "T2": 131}
+
+
+class TestNegativeControl:
+    """The unit of T replaced by the locally discrete inclusion into T,
+    which misses the hom from h to h': both checks, ``is_stably_vertical``
+    and the definitional oracle reject it, through the code that they run
+    on real units."""
+
+    def test_a_unit_that_misses_a_hom_is_rejected(self, monkeypatch):
+        T, T2 = tc.make_T(), tc.make_Tn(2)
+        inclusion = locally_discrete_inclusion(T)
+        verdicts = inverted_pullbacks(inclusion, T)
+        assert len(verdicts) == 5 and verdicts.count(False) == 1
+        assert not tc.is_stably_vertical(inclusion)
+        real = reflection.reflect
+
+        def substituted(cat):
+            result = real(cat)
+            return dataclasses.replace(result, unit=inclusion) if cat is T else result
+
+        monkeypatch.setattr(reflection, "reflect", substituted)
+        assert not tc.check_semi_left_exact(T)
+        assert not tc.check_stable_units(T, T2)
+        assert not tc.check_stable_units(T2, T)
+        assert tc.check_semi_left_exact(T2) and tc.check_stable_units(T2, T2)
 
 
 @pytest.fixture()
@@ -445,9 +545,10 @@ def components_of(cat, calls):
 
 
 class TestEachCategoryIsReflectedOnce:
-    """The probe checks reflect their inputs only: every component is settled
-    by its vertical projection onto the probe, unsearched, and no fiber
-    product of two components is built."""
+    """The probe checks reflect each input once and search for no
+    isomorphism: semi-left-exactness settles every component by its vertical
+    projection onto the probe, and stable units are settled by the units
+    alone, with no fiber product built."""
 
     def test_semi_left_exactness(self, calls, gallery_objects):
         cat = gallery_objects["v4"]
@@ -456,15 +557,13 @@ class TestEachCategoryIsReflectedOnce:
         assert calls["find_isomorphism"] == []
         assert len(calls["fiber_product"]) == components_of(cat, calls) == probe_count(cat) > 1
 
-    def test_stable_units_build_each_component_of_other_once(self, calls):
+    def test_stable_units_pull_nothing_back(self, calls):
         cat, _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
         other = tc.make_v4()
         assert tc.check_stable_units(cat, other)
         assert [args[0] for args in calls["reflect"]] == [cat, other]
+        assert calls["fiber_product"] == []
         assert calls["find_isomorphism"] == []
-        assert components_of(cat, calls) == probe_count(cat) > 1
-        assert components_of(other, calls) == probe_count(other) > 1
-        assert len(calls["fiber_product"]) == probe_count(cat) + probe_count(other)
 
     @pytest.mark.parametrize("check", [tc.reflective_factor, tc.trivial_covering_oracle])
     def test_reflected_square(self, calls, t_family, check):
