@@ -40,19 +40,60 @@ def is_edm(fun, witness=None):
     triple of the target must be the ``f2``-image of a triple of the
     source.  The least missing triple is reported outermost first (the
     last entry is applied first), prefixed with ``v`` or ``h``.
+
+    Only the target's triples are walked; see :func:`_lifts` for how each
+    is decided from the source's cells.
     """
-    src, tgt, f2 = fun.source, fun.target, fun.f2
-    for kind, source_ends, target_ends in (
-        ("v", src.two_cells, tgt.two_cells),
-        ("h", src.horiz_ends(), tgt.horiz_ends()),
+    src, tgt = fun.source, fun.target
+    for kind, below, source_ends, target_ends in (
+        ("v", fun.f1, src.two_cells, tgt.two_cells),
+        ("h", fun.f0, src.horiz_ends(), tgt.horiz_ends()),
     ):
-        image = {(f2[c3], f2[c2], f2[c1]) for c3, c2, c1 in _chains(source_ends, 3)}
-        least = min((t for t in _chains(target_ends, 3) if t not in image), default=None)
+        lifts = _lifts(fun.f2, below, source_ends, target_ends)
+        if lifts is None:
+            continue
+        least = min((t for t in _chains(target_ends, 3) if not lifts(t)), default=None)
         if least:
             if witness is not None:
                 witness.append((kind,) + least)
             return False
     return True
+
+
+def _lifts(f2, below, source_ends, target_ends):
+    """Whether a target triple ``(b3, b2, b1)`` is the image of a source
+    triple, as a predicate; ``None`` when every target triple is one.
+
+    ``source_ends`` and ``target_ends`` map the 2-cells of one level to
+    their ends, and ``below`` maps the source's ends to the target's.  When
+    ``below`` is injective and sends each source cell's ends to those of
+    its image, any cells over ``b1``, ``b2`` and ``b3`` compose, so a triple
+    lifts exactly when ``f2`` hits its three cells.  Otherwise the source
+    cells are indexed by image and start, and a triple lifts when a start
+    over ``b3`` is among the ends reachable over the pair ``(b2, b1)``.
+    """
+    if len(set(below.values())) == len(below) and all(
+        (below.get(start), below.get(end)) == target_ends.get(f2.get(cell))
+        for cell, (start, end) in source_ends.items()
+    ):
+        hit = {f2[cell] for cell in source_ends}
+        return None if hit >= target_ends.keys() else hit.issuperset
+
+    over = {}  # image -> start -> the ends of the source cells there
+    for cell, (start, end) in source_ends.items():
+        over.setdefault(f2.get(cell), {}).setdefault(start, set()).add(end)
+    reach = {}  # (b2, b1) -> the ends of the source pairs over it
+
+    def lifts(triple):
+        b3, b2, b1 = triple
+        if (b2, b1) not in reach:
+            steps, ends = over.get(b2, {}), set()
+            for end in set().union(*over.get(b1, {}).values()):
+                ends |= steps.get(end, set())
+            reach[b2, b1] = ends
+        return not reach[b2, b1].isdisjoint(over.get(b3, ()))
+
+    return lifts
 
 
 def _pulled_back_homs(fun, witness):

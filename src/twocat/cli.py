@@ -7,6 +7,10 @@ and ``edm-cover`` cannot build on, and a functor whose ends break a law,
 which ``classify`` refuses), 2 malformed input (also text that is
 not UTF-8 or JSON nested too deeply to parse), 3 search or budget cap
 exceeded.
+
+Each document is checked for well-formedness once, when it is parsed; the
+commands then read laws and functor equations from the private halves of
+the library's checks, so no value is checked twice in one request.
 """
 
 import argparse
@@ -19,9 +23,11 @@ from .core import (
     SearchCaps,
     TwoCategory,
     TwoFunctor,
+    _graph_violations,
+    _law_report,
+    _preservation_violations,
     find_isomorphism,
     validate_two_category,
-    validate_two_functor,
 )
 from .errors import (
     BudgetExceeded,
@@ -30,7 +36,7 @@ from .errors import (
     SearchCapExceeded,
     TwoCatError,
 )
-from .factorize import monotone_light_factor, reflective_factor, verify_factorization
+from .factorize import _factorization_violations, monotone_light_factor, reflective_factor
 from .limits import pullback
 from .reflection import reflect
 from .serialize import dumps, pairs, parse_document
@@ -62,7 +68,7 @@ def _load_functor(path):
     value = parse_document(_read(path))
     if not isinstance(value, TwoFunctor):
         raise MalformedData(f"{path!r} does not hold a 2-functor document")
-    bad = validate_two_functor(value)
+    bad = _preservation_violations(value, *_graph_violations(value))  # ends checked at parse
     if bad:
         raise MalformedData(f"not a 2-functor: {bad[0]}")
     return value
@@ -84,7 +90,7 @@ def _caps(args):
 
 
 def cmd_validate(args):
-    report = validate_two_category(_load_category(args.file))
+    report = _law_report(_load_category(args.file))
     for line in report.lines():
         print(line)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
@@ -100,7 +106,7 @@ def cmd_reflect(args):
 def cmd_classify(args):
     fun = _load_functor(args.file)
     for end in (fun.source, fun.target):
-        failures = validate_two_category(end).failures
+        failures = _law_report(end).failures
         if failures:
             raise LawViolation(*next(iter(failures.items())))
     report = classify(fun)
@@ -126,7 +132,7 @@ def cmd_factor(args):
     fun = _load_functor(args.file)
     make = reflective_factor if args.system == "reflective" else monotone_light_factor
     fac = make(fun)
-    problems = verify_factorization(fun, fac)
+    problems = _factorization_violations(fun, fac, source_checked=True)
     doc = {
         "system": fac.system,
         "e": fac.e, "m": fac.m, "middle": fac.middle,
@@ -147,7 +153,7 @@ def cmd_pullback(args):
 
 def cmd_edm_cover(args):
     base = _load_category(args.file)
-    summands = gallery.edm_summands(base)
+    summands = gallery._edm_summands(base)
     cover, p = gallery.edm_cover(base, summands)
     doc = {
         "cover": cover, "p": p,

@@ -158,8 +158,8 @@ class TwoFunctor:
     Validity (commutation with all structure maps) is checked by
     :func:`validate_two_functor`, never assumed by the container.  Like
     its ends, a functor is treated as immutable: the fiber products of
-    :mod:`twocat.limits` build its image index on first use and keep it
-    for the functor's lifetime.
+    :mod:`twocat.limits` build its image indexes, of cells and of table
+    rows, each on first use and keep them for the functor's lifetime.
     """
 
     source: TwoCategory
@@ -170,17 +170,20 @@ class TwoFunctor:
 
     @cached_property
     def _by_image(self):
-        """Per level, the source cells grouped by image; per table, its rows
-        ``(g, f, v)`` grouped by the images of ``(g, f)``, in table order.
-        A 2-graph source has no tables."""
+        """Per level, the source cells grouped by image."""
         s = self.source
-        tables = [getattr(s, name) for name in _TABLES] if isinstance(s, TwoCategory) else []
-        rows = [{} for _ in tables]
-        for index, table, m in zip(rows, tables, (self.f1, self.f2, self.f2)):
-            for (g, f), v in table.items():
-                index.setdefault((m[g], m[f]), []).append((g, f, v))
         carriers = zip((s.objects, s.one_cells, s.two_cells), (self.f0, self.f1, self.f2))
-        return [_group(xs, m.__getitem__) for xs, m in carriers], rows
+        return [_group(xs, m.__getitem__) for xs, m in carriers]
+
+    @cached_property
+    def _rows_by_image(self):
+        """Per table of a 2-category source, its rows ``(g, f, v)`` grouped
+        by the images of ``(g, f)``, in table order."""
+        rows = [{} for _ in _TABLES]
+        for index, name, m in zip(rows, _TABLES, (self.f1, self.f2, self.f2)):
+            for (g, f), v in getattr(self.source, name).items():
+                index.setdefault((m[g], m[f]), []).append((g, f, v))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -434,6 +437,12 @@ def validate_two_category(cat):
     cell applied first for the duration of the call.
     """
     check_well_formed(cat)
+    return _law_report(cat)
+
+
+def _law_report(cat):
+    """The :class:`AxiomReport` of :func:`validate_two_category` for a
+    ``cat`` that :func:`check_well_formed` has passed."""
     one, two, c1 = cat.one_cells, cat.two_cells, cat.one_compose
     e1, e2 = cat.one_identity, cat.two_identity
     failures = {}
@@ -543,9 +552,17 @@ def validate_two_functor(fun):
     violations citing the offending cells, table by table and by ``(f, g)``
     within a table.
     """
+    graph = _graph_violations(fun)
+    check_well_formed(fun.source)
+    return _preservation_violations(fun, *graph)
+
+
+def _preservation_violations(fun, ones, twos):
+    """``ones`` and ``twos``, the :func:`_graph_violations` of ``fun``, each
+    followed by the rows of its level's tables that ``fun`` does not
+    preserve, as one list.  ``fun.source`` must have passed
+    :func:`check_well_formed`."""
     src, tgt = fun.source, fun.target
-    ones, twos = _graph_violations(fun)
-    check_well_formed(src)
     for bad, m, table, image, name in (
         (ones, fun.f1, src.one_compose, tgt.one_compose, "compose1"),
         (twos, fun.f2, src.vert_compose, tgt.vert_compose, "vcompose"),

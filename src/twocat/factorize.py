@@ -20,11 +20,13 @@ from .core import (
     TwoCategory,
     TwoFunctor,
     TwoReflexiveGraph,
+    _graph_violations,
+    _preservation_violations,
     assemble_two_category,
+    check_well_formed,
     compose_two_functors,
     functors_equal,
     validate_two_category,
-    validate_two_functor,
 )
 from .limits import encoder
 from .reflection import _reflected_square
@@ -116,9 +118,24 @@ def monotone_light_factor(fun):
 
 
 def verify_factorization(fun, fac):
-    """Violations of ``fac`` as a factorization of ``fun`` (empty = valid)."""
+    """Violations of ``fac`` as a factorization of ``fun`` (empty = valid).
+
+    A leg with a dangling map entry, and a middle object or a first
+    factor's source that is not well formed, raise :class:`MalformedData`.
+    """
+    return _factorization_violations(fun, fac, source_checked=False)
+
+
+def _factorization_violations(fun, fac, source_checked):
+    """The violations of :func:`verify_factorization`.
+
+    The middle object is checked for well-formedness once, by its law
+    report, and so is the first factor's source unless ``source_checked``
+    says that it is ``fun.source`` and the caller has checked that.
+    """
     bad = []
-    if fac.e.source != fun.source:
+    starts_at_source = fac.e.source == fun.source
+    if not starts_at_source:
         bad.append("first factor does not start at the source")
     if fac.m.target != fun.target:
         bad.append("second factor does not end at the target")
@@ -129,8 +146,14 @@ def verify_factorization(fun, fac):
         bad.append("the two factors do not compose to the original functor")
     if not validate_two_category(fac.middle).all_pass:
         bad.append("the middle object is not a 2-category")
-    for leg, name in ((fac.e, "first factor"), (fac.m, "second factor")):
-        violations = validate_two_functor(leg)
+    for leg, name, checked in (
+        (fac.e, "first factor", source_checked and starts_at_source),
+        (fac.m, "second factor", True),  # its source is the middle object
+    ):
+        graph = _graph_violations(leg)
+        if not checked:
+            check_well_formed(leg.source)
+        violations = _preservation_violations(leg, *graph)
         if violations:
             bad.append(f"{name} is not a 2-functor: {violations[0]}")
     if fac.system == "reflective":

@@ -78,7 +78,7 @@ def fiber_product(f, g):
     levels = [
         [(x, y) for x in sorted(xs) for y in index.get(m[x], ())]
         for xs, m, index in zip((a.objects, a.one_cells, a.two_cells), (f.f0, f.f1, f.f2),
-                                g._by_image[0])
+                                g._by_image)
     ]
     names = [{pair: n for n, pair in level.items()} for level in encoder(levels)]
     objs, ones, twos = names
@@ -119,7 +119,7 @@ def _join(f, g, k, names):
     breaks the boundary law, and :class:`LawViolation` names the least
     such apex pair.
     """
-    index, m = g._by_image[1][k], (f.f1, f.f2, f.f2)[k]
+    index, m = g._rows_by_image[k], (f.f1, f.f2, f.f2)[k]
     table = {
         (names[ga, gc], names[fa, fc]): names.get((va, vc))
         for (ga, fa), va in getattr(f.source, _TABLES[k]).items()

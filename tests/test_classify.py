@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -257,6 +258,27 @@ class TestNegativeDescent:
 PINNED = ("is_edm", "is_vertical", "is_stably_vertical", "is_trivial_covering", "is_covering")
 
 
+def graph_maps(cat):
+    """Maps out of the identity of ``cat`` that break boundaries: two objects
+    merged (``f1`` injective, ``f0`` not), two 1-cells merged (the reverse),
+    and the 2-cells rotated by one (``f0`` and ``f1`` injective)."""
+    identity = tc.identity_two_functor(cat)
+    objects, ones, twos = (sorted(cells) for cells in (cat.objects, cat.one_cells, cat.two_cells))
+
+    def merged(cells):
+        return {c: cells[0] if c == cells[-1] else c for c in cells}
+
+    return [
+        dataclasses.replace(identity, f0=merged(objects)),
+        dataclasses.replace(identity, f1=merged(ones)),
+        dataclasses.replace(identity, f2=dict(zip(twos, twos[1:] + twos[:1]))),
+    ]
+
+
+def rich_categories():
+    return (tc.make_Tn(3), tc.make_v4(), tc.make_h4(), tc.product(tc.make_T(), tc.make_Tn(2)).apex)
+
+
 @pytest.fixture(scope="module")
 def differential_functors(corpus_functors, seeded_functors):
     """Corpus, seeded and random functors, cover projections and inclusions.
@@ -274,8 +296,7 @@ def differential_functors(corpus_functors, seeded_functors):
         for fun in itertools.islice(tc.enumerate_two_functors(a, b), 4)
     ]
     covers = [tc.edm_cover(base)[1] for base in (tc.make_T(), tc.make_Tn(3))]
-    rich = (tc.make_Tn(3), tc.make_v4(), tc.make_h4(), tc.product(tc.make_T(), tc.make_Tn(2)).apex)
-    discrete = [locally_discrete_inclusion(cat) for cat in rich]
+    discrete = [locally_discrete_inclusion(cat) for cat in rich_categories()]
     return corpus_functors + seeded_functors + between + covers + discrete
 
 
@@ -284,17 +305,37 @@ class TestAgainstTheReference:
 
     @pytest.mark.parametrize("name", PINNED)
     def test_verdicts_and_least_witnesses(self, name, differential_functors, reference):
-        ours, theirs = getattr(tc, name), getattr(reference, name)
-        failures = 0
-        for fun in differential_functors:
-            twin = on_reference(reference, fun)
-            found, expected = [], []
-            verdict = ours(fun)
-            assert verdict == ours(fun, witness=found)
-            assert verdict == theirs(twin) == theirs(twin, witness=expected)
-            assert found == expected
-            failures += not verdict
+        failures = pinned_failures(name, differential_functors, reference)
         assert failures > 100  # the witness paths are exercised
+
+    def test_edm_on_graph_maps_and_a_cover_that_misses_triples(self, reference):
+        """``is_edm`` decides a level by its lemma when the map below is
+        injective and sends the ends of each cell to those of its image,
+        as on the locally discrete inclusions above, whose ``f2`` is not
+        onto.  Each graph map breaks a condition at one level or at both,
+        as the projections do, and that level takes the relational path;
+        the h4-sized projection misses triples.  The predicates other than
+        ``is_edm`` read these maps as functors, so only ``is_edm`` is
+        pinned here."""
+        graphs = [fun for cat in rich_categories() for fun in graph_maps(cat)]
+        missing = descent_probe_setup()[4]
+        assert pinned_failures("is_edm", [*graphs, missing], reference) == 5  # rotations and the cover
+
+
+def pinned_failures(name, functors, reference):
+    """The number of ``functors`` that predicate ``name`` rejects, after
+    checking its verdicts and least witnesses against the reference's."""
+    ours, theirs = getattr(tc, name), getattr(reference, name)
+    failures = 0
+    for fun in functors:
+        twin = on_reference(reference, fun)
+        found, expected = [], []
+        verdict = ours(fun)
+        assert verdict == ours(fun, witness=found)
+        assert verdict == theirs(twin) == theirs(twin, witness=expected)
+        assert found == expected
+        failures += not verdict
+    return failures
 
 
 def edited_identities(cat):

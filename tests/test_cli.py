@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twocat as tc
-from twocat import serialize
+from twocat import core, serialize
 from twocat.cli import main
 from twocat.serialize import (
     category_to_document,
@@ -316,8 +316,8 @@ class TestDeepChains:
     to paths up to the whole length: every subcommand, and ``iso`` under
     raised caps too, ends in a documented exit on the chain or its identity
     functor.  All but ``iso`` under the default caps, which the larger
-    chains exceed, succeed.  ``edm-cover`` runs only on chains of at most
-    6 objects, where it takes about a third of a second."""
+    chains exceed, succeed, and so does ``edm-cover`` on the chains whose
+    cover fits its budget; on the others it stops with exit 3."""
 
     @settings(max_examples=3, derandomize=True, deadline=None)
     @example(length=30, step=14)
@@ -330,12 +330,25 @@ class TestDeepChains:
         files["category"].write_text(dumps(to_document(cat)), encoding="utf-8")
         identity = tc.identity_two_functor(cat)
         files["functor"].write_text(dumps(to_document(identity)), encoding="utf-8")
+        capped = {"iso": (0, 3), "edm-cover": (0,) if _cover_fits(cat) else (3,)}
         for kind, file in files.items():
-            commands = [c for c in FUZZED_COMMANDS[kind] if length <= 6 or c[0] != "edm-cover"]
+            commands = list(FUZZED_COMMANDS[kind])
             if kind == "category":
                 commands.append(["--cap", "2000", "iso", "{}", "{}"])
-            for command, code, _out, _err in _run_documented(kind, file, commands):
-                assert code in ((0, 3) if command[0] == "iso" else (0,)), command
+            for command, code, out, err in _run_documented(kind, file, commands):
+                assert code in capped.get(command[0], (0,)), command
+                if code == 3:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def _cover_fits(cat):
+    """Whether the descent cover of ``cat``, one v4 per vertical and one h4
+    per horizontal triple, fits in the budget of ``edm-cover``."""
+    cells = sum(
+        len(part.two_cells) * sum(1 for _ in core._chains(ends, 3))
+        for part, ends in ((tc.make_v4(), cat.two_cells), (tc.make_h4(), cat.horiz_ends()))
+    )
+    return cells <= tc.gallery.EDM_COVER_MAX_TWO_CELLS
 
 
 #: The pieces of relabeled identifiers: the delimiters of computed names.
@@ -882,3 +895,90 @@ def first_difference(ours, theirs):
     """
     lines = itertools.zip_longest(ours.splitlines(), theirs.splitlines())
     return next(((n, a, b) for n, (a, b) in enumerate(lines, 1) if a != b), None)
+
+
+#: The requests whose well-formedness checks are counted, with the files they
+#: read by role; each exits 0.
+CHECKED_REQUESTS = (
+    ("validate", "cover"),
+    ("classify", "--oracle", "p"),
+    ("factor", "--system=monotone-light", "p"),
+    ("factor", "--system=reflective", "p"),
+    ("pullback", "p", "id"),
+    ("edm-cover", "base"),
+)
+
+
+@pytest.fixture()
+def checks(monkeypatch):
+    """Each value ``check_well_formed`` is called on, once per call, and
+    each value a request parses or builds for checking: the categories of
+    its documents, the middle object of a factorization, a pullback apex."""
+    checked, made = [], []
+    real = core.check_well_formed
+
+    def counting(cat):
+        checked.append(cat)
+        return real(cat)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twocat.") and getattr(module, "check_well_formed", None) is real:
+            monkeypatch.setattr(module, "check_well_formed", counting)
+
+    def recording(make, part):
+        def wrapper(*args):
+            value = make(*args)
+            made.append(part(value))
+            return value
+        return wrapper
+
+    cli = importlib.import_module("twocat.cli")
+    monkeypatch.setattr(serialize, "document_to_category",
+                        recording(serialize.document_to_category, lambda cat: cat))
+    monkeypatch.setattr(cli, "pullback", recording(cli.pullback, lambda result: result.apex))
+    for name in ("reflective_factor", "monotone_light_factor"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name), lambda fac: fac.middle))
+    return checked, made
+
+
+def _without_a_row(cat):
+    """``cat`` with its least vcompose row dropped: carriers intact, not well formed."""
+    rows = dict(cat.vert_compose)
+    del rows[min(rows)]
+    return dataclasses.replace(cat, vert_compose=rows)
+
+
+class TestEachValueIsCheckedOnce:
+    """A request through ``cli.main`` checks every value it parses or builds
+    for well-formedness exactly once; the library entry points still check
+    what they are handed."""
+
+    @pytest.mark.parametrize("command", CHECKED_REQUESTS, ids=" ".join)
+    def test_requests_on_a_cover(self, cover_files, checks, capsys, command):
+        checked, made = checks
+        assert main([cover_files["T3"].get(arg, arg) for arg in command]) == 0
+        capsys.readouterr()
+        ids = [id(value) for value in checked]
+        assert len(ids) == len(set(ids)), command
+        assert made and {id(value) for value in made} <= set(ids), command
+
+    def test_library_entry_points_reject_malformed_ends(self):
+        T = tc.make_T()
+        bad = _without_a_row(T)
+        with pytest.raises(tc.MalformedData):
+            tc.validate_two_category(bad)
+        with pytest.raises(tc.MalformedData):
+            tc.validate_two_functor(tc.identity_two_functor(bad))
+        fun = tc.identity_two_functor(T)
+        fac = tc.monotone_light_factor(fun)
+        assert tc.verify_factorization(fun, fac) == []
+        middle = _without_a_row(fac.middle)
+        broken_middle = dataclasses.replace(
+            fac, middle=middle,
+            e=dataclasses.replace(fac.e, target=middle), m=dataclasses.replace(fac.m, source=middle),
+        )
+        with pytest.raises(tc.MalformedData):
+            tc.verify_factorization(fun, broken_middle)
+        broken_source = dataclasses.replace(fac, e=dataclasses.replace(fac.e, source=bad))
+        with pytest.raises(tc.MalformedData):
+            tc.verify_factorization(dataclasses.replace(fun, source=bad), broken_source)

@@ -346,7 +346,8 @@ def pulled_back(monkeypatch):
 
 class TestEachFixedLegIsIndexedOnce:
     """A leg pulled back along many probes is the second leg, indexed by
-    image once; the probes, the first legs, are walked and get no index."""
+    image once; the probes, the first legs, are walked and get no index.
+    Its table rows are indexed only for a pullback that joins tables."""
 
     def test_semi_left_exactness(self, index_builds, pulled_back):
         v4 = tc.make_v4()
@@ -356,6 +357,7 @@ class TestEachFixedLegIsIndexedOnce:
         unit = next(iter(units.values()))
         assert unit.source is v4
         assert index_builds == [unit] and "_by_image" in vars(unit)
+        assert "_rows_by_image" in vars(unit)
         assert not any("_by_image" in vars(mu) for mu, _ in pulled_back)
 
     def test_covering_oracle_of_the_v4_cover_projection(self, index_builds, pulled_back):
@@ -363,6 +365,7 @@ class TestEachFixedLegIsIndexedOnce:
         assert tc.covering_oracle(p)
         assert [g for _, g in pulled_back] == [p] * 12
         assert index_builds == [p] and "_by_image" in vars(p)
+        assert "_rows_by_image" not in vars(p)
         assert not any("_by_image" in vars(phi) for phi, _ in pulled_back)
 
 
