@@ -10,7 +10,9 @@ exceeded.
 
 Each document is checked for well-formedness once, when it is parsed; the
 commands then read laws and functor equations from the private halves of
-the library's checks, so no value is checked twice in one request.
+the library's checks.  Only ``factor`` checks the functor's source, and
+``edm-cover`` its base, again: inside the public ``verify_factorization``
+and ``edm_summands``.
 """
 
 import argparse
@@ -36,7 +38,7 @@ from .errors import (
     SearchCapExceeded,
     TwoCatError,
 )
-from .factorize import _factorization_violations, monotone_light_factor, reflective_factor
+from .factorize import monotone_light_factor, reflective_factor, verify_factorization
 from .limits import pullback
 from .reflection import reflect
 from .serialize import dumps, pairs, parse_document
@@ -132,7 +134,7 @@ def cmd_factor(args):
     fun = _load_functor(args.file)
     make = reflective_factor if args.system == "reflective" else monotone_light_factor
     fac = make(fun)
-    problems = _factorization_violations(fun, fac, source_checked=True)
+    problems = verify_factorization(fun, fac)
     doc = {
         "system": fac.system,
         "e": fac.e, "m": fac.m, "middle": fac.middle,
@@ -153,7 +155,7 @@ def cmd_pullback(args):
 
 def cmd_edm_cover(args):
     base = _load_category(args.file)
-    summands = gallery._edm_summands(base)
+    summands = gallery.edm_summands(base)
     cover, p = gallery.edm_cover(base, summands)
     doc = {
         "cover": cover, "p": p,

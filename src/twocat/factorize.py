@@ -23,10 +23,10 @@ from .core import (
     _graph_violations,
     _preservation_violations,
     assemble_two_category,
-    check_well_formed,
     compose_two_functors,
     functors_equal,
     validate_two_category,
+    validate_two_functor,
 )
 from .limits import encoder
 from .reflection import _reflected_square
@@ -122,20 +122,11 @@ def verify_factorization(fun, fac):
 
     A leg with a dangling map entry, and a middle object or a first
     factor's source that is not well formed, raise :class:`MalformedData`.
-    """
-    return _factorization_violations(fun, fac, source_checked=False)
-
-
-def _factorization_violations(fun, fac, source_checked):
-    """The violations of :func:`verify_factorization`.
-
     The middle object is checked for well-formedness once, by its law
-    report, and so is the first factor's source unless ``source_checked``
-    says that it is ``fun.source`` and the caller has checked that.
+    report, which covers the second factor's source.
     """
     bad = []
-    starts_at_source = fac.e.source == fun.source
-    if not starts_at_source:
+    if fac.e.source != fun.source:
         bad.append("first factor does not start at the source")
     if fac.m.target != fun.target:
         bad.append("second factor does not end at the target")
@@ -146,14 +137,11 @@ def _factorization_violations(fun, fac, source_checked):
         bad.append("the two factors do not compose to the original functor")
     if not validate_two_category(fac.middle).all_pass:
         bad.append("the middle object is not a 2-category")
-    for leg, name, checked in (
-        (fac.e, "first factor", source_checked and starts_at_source),
-        (fac.m, "second factor", True),  # its source is the middle object
+    for name, violations in (
+        ("first factor", validate_two_functor(fac.e)),
+        # the second factor's source is the middle object, checked above
+        ("second factor", _preservation_violations(fac.m, *_graph_violations(fac.m))),
     ):
-        graph = _graph_violations(leg)
-        if not checked:
-            check_well_formed(leg.source)
-        violations = _preservation_violations(leg, *graph)
         if violations:
             bad.append(f"{name} is not a 2-functor: {violations[0]}")
     if fac.system == "reflective":

@@ -10,13 +10,12 @@ from .core import (
     TwoFunctor,
     TwoReflexiveGraph,
     _chains,
-    _law_report,
     assemble_two_category,
     build_two_category,
-    check_well_formed,
     coproduct,
     copair,
     enumerate_two_functors,
+    validate_two_category,
 )
 from .errors import BudgetExceeded, CyclicPresentation, LawViolation, MalformedData
 from .limits import product, terminal
@@ -401,9 +400,11 @@ def _presented_functor(presentation, free, base, images):
     return TwoFunctor(source=part, target=base, f0=f0, f1=f1, f2=f2)
 
 
-#: The most 2-cells a descent cover may have.  The cover of h4 has 26,050,
-#: and a cover holds about 4 kB per 2-cell while it is built.
-EDM_COVER_MAX_TWO_CELLS = 30_000
+#: The most 2-cells a descent cover may have.  ``edm-cover`` peaks at about
+#: 5.5 kB per cover 2-cell, its JSON output included, so this keeps it near
+#: 1.1 GB: the free 2-preorder on a path of 15 objects (178,920) still fits,
+#: and one on 16 objects (226,440) does not.
+EDM_COVER_MAX_TWO_CELLS = 200_000
 
 
 def edm_summands(base):
@@ -415,13 +416,7 @@ def edm_summands(base):
     and a cover of more than :data:`EDM_COVER_MAX_TWO_CELLS` 2-cells
     raises :class:`BudgetExceeded` before any part is built.
     """
-    check_well_formed(base)
-    return _edm_summands(base)
-
-
-def _edm_summands(base):
-    """:func:`edm_summands` of a ``base`` that :func:`check_well_formed` has passed."""
-    failures = _law_report(base).failures
+    failures = validate_two_category(base).failures
     if failures:
         raise LawViolation(*next(iter(failures.items())))
     kinds = []

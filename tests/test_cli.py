@@ -317,7 +317,10 @@ class TestDeepChains:
     raised caps too, ends in a documented exit on the chain or its identity
     functor.  All but ``iso`` under the default caps, which the larger
     chains exceed, succeed, and so does ``edm-cover`` on the chains whose
-    cover fits its budget; on the others it stops with exit 3."""
+    cover fits its budget; on the others it stops with exit 3.  The budget
+    is lowered here to the cover of a 6-object chain (7,560 2-cells, about
+    a third of a second), so that the longer chains stop without building
+    covers of up to a gigabyte."""
 
     @settings(max_examples=3, derandomize=True, deadline=None)
     @example(length=30, step=14)
@@ -330,25 +333,36 @@ class TestDeepChains:
         files["category"].write_text(dumps(to_document(cat)), encoding="utf-8")
         identity = tc.identity_two_functor(cat)
         files["functor"].write_text(dumps(to_document(identity)), encoding="utf-8")
-        capped = {"iso": (0, 3), "edm-cover": (0,) if _cover_fits(cat) else (3,)}
-        for kind, file in files.items():
-            commands = list(FUZZED_COMMANDS[kind])
-            if kind == "category":
-                commands.append(["--cap", "2000", "iso", "{}", "{}"])
-            for command, code, out, err in _run_documented(kind, file, commands):
-                assert code in capped.get(command[0], (0,)), command
-                if code == 3:
-                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        budget = 8_000
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tc.gallery, "EDM_COVER_MAX_TWO_CELLS", budget)
+            capped = {"iso": (0, 3), "edm-cover": (0,) if _cover_two_cells(cat) <= budget else (3,)}
+            for kind, file in files.items():
+                commands = list(FUZZED_COMMANDS[kind])
+                if kind == "category":
+                    commands.append(["--cap", "2000", "iso", "{}", "{}"])
+                for command, code, out, err in _run_documented(kind, file, commands):
+                    assert code in capped.get(command[0], (0,)), command
+                    if code == 3:
+                        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_the_budget_admits_a_path_of_15_objects_and_not_16(self, tmp_path):
+        assert _cover_two_cells(_chain(15, None)) == 178_920 <= tc.gallery.EDM_COVER_MAX_TWO_CELLS
+        cat = _chain(16, None)
+        assert _cover_two_cells(cat) == 226_440 > tc.gallery.EDM_COVER_MAX_TWO_CELLS
+        file = tmp_path / "category.json"
+        file.write_text(dumps(to_document(cat)), encoding="utf-8")
+        code, out, err = _run(["edm-cover", "{}"], file)
+        assert (code, out) == (3, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
-def _cover_fits(cat):
-    """Whether the descent cover of ``cat``, one v4 per vertical and one h4
-    per horizontal triple, fits in the budget of ``edm-cover``."""
-    cells = sum(
+def _cover_two_cells(cat):
+    """The 2-cells of the descent cover of ``cat``, one v4 per vertical and
+    one h4 per horizontal triple."""
+    return sum(
         len(part.two_cells) * sum(1 for _ in core._chains(ends, 3))
         for part, ends in ((tc.make_v4(), cat.two_cells), (tc.make_h4(), cat.horiz_ends()))
     )
-    return cells <= tc.gallery.EDM_COVER_MAX_TWO_CELLS
 
 
 #: The pieces of relabeled identifiers: the delimiters of computed names.
@@ -948,10 +962,17 @@ def _without_a_row(cat):
     return dataclasses.replace(cat, vert_compose=rows)
 
 
+#: The requests that hand their first parsed category to a public library
+#: check, which checks it again: ``verify_factorization`` the functor's
+#: source, ``edm_summands`` the base.
+RECHECKING = ("factor", "edm-cover")
+
+
 class TestEachValueIsCheckedOnce:
     """A request through ``cli.main`` checks every value it parses or builds
-    for well-formedness exactly once; the library entry points still check
-    what they are handed."""
+    for well-formedness, and each once but for the one value that ``factor``
+    and ``edm-cover`` hand to a public check; the library entry points still
+    check what they are handed."""
 
     @pytest.mark.parametrize("command", CHECKED_REQUESTS, ids=" ".join)
     def test_requests_on_a_cover(self, cover_files, checks, capsys, command):
@@ -959,7 +980,9 @@ class TestEachValueIsCheckedOnce:
         assert main([cover_files["T3"].get(arg, arg) for arg in command]) == 0
         capsys.readouterr()
         ids = [id(value) for value in checked]
-        assert len(ids) == len(set(ids)), command
+        twice = [value for value in set(ids) if ids.count(value) > 1]
+        assert twice == ([id(made[0])] if command[0] in RECHECKING else []), command
+        assert ids.count(id(made[0])) <= 2, command
         assert made and {id(value) for value in made} <= set(ids), command
 
     def test_library_entry_points_reject_malformed_ends(self):
