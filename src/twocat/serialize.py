@@ -253,7 +253,7 @@ def parse_document(text):
     """Parse JSON text into a 2-category or a 2-functor by shape."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an over-long integer
         raise MalformedData(f"not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "f0" in doc:
         return document_to_functor(doc)

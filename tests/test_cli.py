@@ -79,6 +79,11 @@ class TestRoundTrip:
         with pytest.raises(tc.MalformedData):
             parse_document("{not json")
 
+    def test_an_integer_too_long_to_read_is_malformed(self):
+        # the standard library reads at most 4,300 digits into an int
+        with pytest.raises(tc.MalformedData, match="not valid JSON"):
+            parse_document('{"objects": [' + "1" * 5_000 + "]}")
+
     def test_partial_tables_are_malformed(self):
         doc = {
             "objects": ["a", "b", "c"],
@@ -121,7 +126,9 @@ class TestLooseIngest:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "content", [b"[" * 100_000, b"\xff\xfe"], ids=["deeply-nested", "not-utf-8"],
+        "content",
+        [b"[" * 100_000, b"\xff\xfe", b'{"objects": [' + b"1" * 5_000 + b"]}"],
+        ids=["deeply-nested", "not-utf-8", "long-integer"],
     )
     def test_unreadable_bytes_exit_two_with_one_error_line(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
@@ -594,6 +601,44 @@ class TestLawBreakingInput:
         assert run.returncode == 1
         assert run.stdout == ""
         assert "Traceback" not in run.stderr
+
+
+class TestFirstRecordedFailure:
+    """An input that fails several laws is refused with the first law that
+    the reference's ``validate_two_category`` records, not the least."""
+
+    #: A gallery object and one composition row retargeted: the table,
+    #: the row's pair and its new composite.
+    EDITS = {
+        "h4 compose1": ("h4", "compose1", ["b1", "b0"], "b0.t1"),
+        "h4na hcompose": ("h4na", "hcompose", ["a13", "a01"], "a03"),
+    }
+
+    @pytest.fixture(params=sorted(EDITS))
+    def broken(self, request):
+        name, table, pair, composite = self.EDITS[request.param]
+        doc = json.loads(_identity_document_text(name))
+        for end in (doc["source"], doc["target"]):
+            (row,) = [row for row in end[table] if row[:2] == pair]
+            row[2] = composite
+        return doc
+
+    @pytest.mark.parametrize("command, part", [("classify --oracle", None), ("edm-cover", "source")])
+    def test_the_error_names_the_first_recorded_law(
+        self, tmp_path, capsys, reference, reference_serialize, broken, command, part
+    ):
+        doc = broken[part] if part else broken
+        failures = reference.validate_two_category(
+            reference_serialize.parse_document(json.dumps(broken["source"]))
+        ).failures
+        assert len(failures) >= 2
+        law, cells = next(iter(failures.items()))
+        file = tmp_path / "input.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(command.split() + [str(file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {law} law fails at ({', '.join(cells)})\n"
 
 
 def standard_dumps(doc):
