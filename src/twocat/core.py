@@ -260,7 +260,7 @@ def build_two_category(
     Omitted identity cells are created under the reserved names
     ``id:<object>`` and ``vid:<1-cell>`` (a listed cell already carrying
     such a name is adopted as the identity).  Table rows forced by the unit
-    laws are filled in; explicit rows always win.  Totality of anything
+    laws are filled in where their pair composes; explicit rows always win.  Totality of anything
     not forced by units is the caller's responsibility and is checked by
     :func:`validate_two_category`.
     """
@@ -303,27 +303,52 @@ def _add_unit_rows(tables, one_cells, one_identity, two_cells, two_identity):
     """Add the rows the unit laws force to ``tables`` where they have none.
 
     ``tables`` are the compose1, vcompose and hcompose dicts.  A row over
-    an identity that is not there is skipped.  Cells are visited in the
-    order their mappings list them; two forced rows share a pair only when
-    an identity is not a loop on its cell, and then the first one is kept.
+    an identity that is not there, or whose pair does not compose, is
+    skipped: an identity that is not a loop on its cell forces rows on one
+    side only, and the unit law reports it.  Two forced rows that share a
+    pair then always agree, so the order of the cells does not matter.
     """
     one, vert, horiz = tables
-    for f, (d, c) in one_cells.items():
-        if d in one_identity:
-            one.setdefault((f, one_identity[d]), f)
-        if c in one_identity:
-            one.setdefault((one_identity[c], f), f)
     he = {x: two_identity[e] for x, e in one_identity.items() if e in two_identity}
+    hends = {s: one_cells.get(two_cells[s][0]) for s in he.values() if s in two_cells}
+    levels = ((one_identity, one_cells), (two_identity, two_cells), (he, hends))
+    # per level, the identities that rows after them and rows before them
+    # compose with: all of them when every identity is a loop on its cell
+    if all(ends.get(e) == (x, x) for identity, ends in levels[:2] for x, e in identity.items()):
+        (r1, l1), (r2, l2), (rh, lh) = ((identity, identity) for identity, _ in levels)
+    else:
+        (r1, l1), (r2, l2), (rh, lh) = (
+            [{x: e for x, e in identity.items() if (ends.get(e) or (None, None))[side] == x}
+             for side in (1, 0)]
+            for identity, ends in levels
+        )
+    for f, (d, c) in one_cells.items():
+        if (e := r1.get(d)) is not None:
+            one.setdefault((f, e), f)
+        if (e := l1.get(c)) is not None:
+            one.setdefault((e, f), f)
     for t, (vd, vc) in two_cells.items():
-        if vd in two_identity:
-            vert.setdefault((t, two_identity[vd]), t)
-        if vc in two_identity:
-            vert.setdefault((two_identity[vc], t), t)
+        if (e := r2.get(vd)) is not None:
+            vert.setdefault((t, e), t)
+        if (e := l2.get(vc)) is not None:
+            vert.setdefault((e, t), t)
         hd, hc = one_cells.get(vd, (None, None))
-        if hd in he:
-            horiz.setdefault((t, he[hd]), t)
-        if hc in he:
-            horiz.setdefault((he[hc], t), t)
+        if (e := rh.get(hd)) is not None:
+            horiz.setdefault((t, e), t)
+        if (e := lh.get(hc)) is not None:
+            horiz.setdefault((e, t), t)
+
+
+def _listed_rows(cat):
+    """Per composition table of ``cat``, the table and the keys of the rows
+    that a document lists, sorted: all but the rows that
+    :func:`build_two_category` restores with the same value."""
+    forced = ({}, {}, {})
+    _add_unit_rows(forced, cat.one_cells, cat.one_identity, cat.two_cells, cat.two_identity)
+    return [
+        (table, sorted([key for key, v in table.items() if unit.get(key) != v]))
+        for table, unit in zip((cat.one_compose, cat.vert_compose, cat.horiz_compose), forced)
+    ]
 
 
 def assemble_two_category(graph, one_rule, vert_rule, horiz_rule):

@@ -42,46 +42,29 @@ def _path_id(path, start):
     return ".".join(path)
 
 
-def _check_acyclic(presentation):
-    """Raise :class:`CyclicPresentation` on a cycle; the search keeps its own stack."""
-    out_edges = {}
-    for gen, (dom, cod) in presentation.generators.items():
-        out_edges.setdefault(dom, []).append(cod)
-    state = {}
-    for obj in presentation.objects:
-        if obj in state:
-            continue
-        state[obj] = "active"
-        stack = [(obj, iter(out_edges.get(obj, ())))]
-        while stack:
-            node, edges = stack[-1]
-            for nxt in edges:
-                if state.get(nxt) == "active":
-                    raise CyclicPresentation(f"directed cycle through object {node!r}")
-                if nxt not in state:
-                    state[nxt] = "active"
-                    stack.append((nxt, iter(out_edges.get(nxt, ()))))
-                    break
-            else:
-                state[node] = "done"
-                stack.pop()
-
-
 def _enumerate_paths(presentation):
-    """Every generator path, keyed ``(start, gens)``, mapped to its end."""
+    """Every generator path, keyed ``(start, gens)``, mapped to its end.
+
+    Paths are listed depth first, from each object and along generators in
+    identifier order, on a stack of their own.  A path that would come back
+    to one of its objects raises :class:`CyclicPresentation`.
+    """
+    gens = presentation.generators
     by_dom = {}
-    for gen in sorted(presentation.generators):
-        by_dom.setdefault(presentation.generators[gen][0], []).append(gen)
+    for gen in sorted(gens):
+        by_dom.setdefault(gens[gen][0], []).append(gen)
 
     ends = {}
-
-    def extend(path, start, at):
-        ends[(start, path)] = at
-        for gen in by_dom.get(at, ()):
-            extend(path + (gen,), start, presentation.generators[gen][1])
-
-    for obj in sorted(presentation.objects):
-        extend((), obj, obj)
+    for start in sorted(presentation.objects):
+        stack = [((), start, frozenset((start,)))]
+        while stack:
+            path, at, on_path = stack.pop()
+            ends[start, path] = at
+            for gen in reversed(by_dom.get(at, ())):
+                end = gens[gen][1]
+                if end in on_path:
+                    raise CyclicPresentation(f"directed cycle through object {at!r}")
+                stack.append((path + (gen,), end, on_path | {end}))
     return ends
 
 
@@ -91,13 +74,11 @@ def _free_two_preorder_with_meta(presentation):
     A path is keyed ``(start, gens)`` since every identity path has the
     same empty generator tuple.
     """
-    _check_acyclic(presentation)
+    ends = _enumerate_paths(presentation)  # a cycle is reported before an unknown endpoint
     gens = presentation.generators
     for gen, (dom, cod) in gens.items():
         if dom not in presentation.objects or cod not in presentation.objects:
             raise MalformedData(f"generator {gen!r} has unknown endpoints")
-
-    ends = _enumerate_paths(presentation)
 
     rules = []
     for lower, upper in presentation.relations:
@@ -518,21 +499,24 @@ def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
     return _BLOCK_MAKERS[start]() if current is blocks[start] else current
 
 
-GALLERY_NAMES = ("T", "v4", "h4", "vh4", "h4na", "terminal")
+#: The gallery objects with fixed CLI names; ``T<n>`` names :func:`make_Tn`.
+_FIXED = {
+    "T": make_T,
+    "v4": make_v4,
+    "h4": make_h4,
+    "vh4": make_vh4,
+    "h4na": make_h4_na,
+    "terminal": terminal,
+}
+
+GALLERY_NAMES = tuple(_FIXED)
 
 
 def by_name(name):
     """The gallery object for a CLI name such as ``T``, ``T3`` or ``v4``."""
-    fixed = {
-        "T": make_T,
-        "v4": make_v4,
-        "h4": make_h4,
-        "vh4": make_vh4,
-        "h4na": make_h4_na,
-        "terminal": terminal,
-    }
-    if name in fixed:
-        return fixed[name]()
-    if name.startswith("T") and name[1:].isdigit():
-        return make_Tn(int(name[1:]))
+    if name in _FIXED:
+        return _FIXED[name]()
+    count = name[1:]
+    if name.startswith("T") and count.isascii() and count.isdigit():
+        return make_Tn(int(count))
     raise MalformedData(f"unknown gallery name {name!r}")

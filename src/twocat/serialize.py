@@ -4,9 +4,11 @@ A 2-category document is a single object with ``objects``, ``one_cells``
 (``{id, dom, cod}``), ``compose1`` (``[g, f, gf]`` rows), ``two_cells``
 (``{id, vdom, vcod}``) and ``vcompose``/``hcompose`` rows.  Identity cells
 and the table rows forced by the unit laws may be omitted on input and are
-synthesized; the optional ``one_identity``/``two_identity`` fields (always
-emitted) pin down identities whose names do not carry the reserved
-``id:``/``vid:`` prefixes.  A functor document embeds its ``source`` and
+synthesized; output omits only the rows synthesized with the same value,
+so a document reads back as the category it was written from.  The
+optional ``one_identity``/``two_identity`` fields (always emitted) pin
+down identities whose names do not carry the reserved ``id:``/``vid:``
+prefixes.  A functor document embeds its ``source`` and
 ``target`` and carries ``f0``/``f1``/``f2`` as ``[from, to]`` pairs.
 Printing is canonical: sorted arrays, sorted keys, two-space indent, one
 trailing newline, so print-parse-print is byte stable.  :func:`dumps` also
@@ -17,7 +19,7 @@ the carriers, without building the intermediate document.
 import json
 from json.encoder import encode_basestring_ascii
 
-from .core import TwoCategory, TwoFunctor, _add_unit_rows, build_two_category, check_well_formed
+from .core import TwoCategory, TwoFunctor, _listed_rows, build_two_category, check_well_formed
 from .errors import MalformedData
 
 
@@ -79,18 +81,13 @@ def _category_text(cat):
     """The depth-0 text of ``category_to_document(cat)``, written row by row."""
     q = {x: encode_basestring_ascii(x) for x in (*cat.objects, *cat.one_cells, *cat.two_cells)}
     field = "\n  "
-    unit_one, unit_two_v, unit_two_h = unit_rows = {}, {}, {}
-    _add_unit_rows(unit_rows, cat.one_cells, cat.one_identity, cat.two_cells, cat.two_identity)
-
-    def triples(table, unit):
-        return _Rows(
-            f"[\n      {q[g]},\n      {q[f]},\n      {q[table[g, f]]}\n    ]"
-            for g, f in sorted([key for key in table if key not in unit])
-        )
-
+    one, vert, horiz = (
+        _Rows(f"[\n      {q[g]},\n      {q[f]},\n      {q[table[g, f]]}\n    ]" for g, f in keys)
+        for table, keys in _listed_rows(cat)
+    )
     return _layout({
-        "compose1": triples(cat.one_compose, unit_one),
-        "hcompose": triples(cat.horiz_compose, unit_two_h),
+        "compose1": one,
+        "hcompose": horiz,
         "objects": _Rows(q[x] for x in sorted(cat.objects)),
         "one_cells": _Rows(
             f'{{\n      "cod": {q[c]},\n      "dom": {q[d]},\n      "id": {q[u]}\n    }}'
@@ -104,7 +101,7 @@ def _category_text(cat):
         "two_identity": _pair_rows(
             [(h, cat.two_identity[h]) for h in sorted(cat.one_cells)], field
         ),
-        "vcompose": triples(cat.vert_compose, unit_two_v),
+        "vcompose": vert,
     }, "\n", None)
 
 
@@ -114,9 +111,8 @@ def pairs(mapping):
 
 
 def category_to_document(cat):
-    """Canonical document for a 2-category; unit-forced rows are left out."""
-    unit_one, unit_two_v, unit_two_h = unit_rows = {}, {}, {}
-    _add_unit_rows(unit_rows, cat.one_cells, cat.one_identity, cat.two_cells, cat.two_identity)
+    """Canonical document for a 2-category; rows a reader restores are left out."""
+    one, vert, horiz = ([[g, f, table[g, f]] for g, f in keys] for table, keys in _listed_rows(cat))
     return {
         "objects": sorted(cat.objects),
         "one_cells": [
@@ -124,26 +120,14 @@ def category_to_document(cat):
             for u in sorted(cat.one_cells)
         ],
         "one_identity": [[x, cat.one_identity[x]] for x in sorted(cat.objects)],
-        "compose1": sorted(
-            [g, f, v]
-            for (g, f), v in cat.one_compose.items()
-            if (g, f) not in unit_one
-        ),
+        "compose1": one,
         "two_cells": [
             {"id": t, "vdom": cat.two_cells[t][0], "vcod": cat.two_cells[t][1]}
             for t in sorted(cat.two_cells)
         ],
         "two_identity": [[h, cat.two_identity[h]] for h in sorted(cat.one_cells)],
-        "vcompose": sorted(
-            [b, a, v]
-            for (b, a), v in cat.vert_compose.items()
-            if (b, a) not in unit_two_v
-        ),
-        "hcompose": sorted(
-            [b, a, v]
-            for (b, a), v in cat.horiz_compose.items()
-            if (b, a) not in unit_two_h
-        ),
+        "vcompose": vert,
+        "hcompose": horiz,
     }
 
 

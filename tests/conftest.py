@@ -211,6 +211,18 @@ def descent_probe_setup():
     return h4na, base, phi, cover, p, len(summands) - len(kept)
 
 
+def chain_presentation(length, doubled):
+    """The path ``0 -> 1 -> ...`` of ``length`` objects; with a second
+    generator beside step ``doubled`` and a 2-cell to it from the first,
+    unless ``doubled`` is None."""
+    generators = {f"g{i}": (str(i), str(i + 1)) for i in range(length - 1)}
+    relations = ()
+    if doubled is not None:
+        generators[f"d{doubled}"] = generators[f"g{doubled}"]
+        relations = (((f"g{doubled}",), (f"d{doubled}",)),)
+    return tc.TwoGraphPresentation(tuple(str(i) for i in range(length)), generators, relations)
+
+
 def law_breaking_document():
     """A well-formed document whose boundary and v-assoc laws fail.
 

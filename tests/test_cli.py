@@ -27,7 +27,13 @@ from twocat.serialize import (
     to_document,
 )
 
-from conftest import law_breaking_document, pick_functor, reference_category, seeded_functor
+from conftest import (
+    chain_presentation,
+    law_breaking_document,
+    pick_functor,
+    reference_category,
+    seeded_functor,
+)
 
 GALLERY_NAMES = ("T", "T0", "T3", "v4", "h4", "vh4", "h4na", "terminal")
 
@@ -95,6 +101,75 @@ class TestRoundTrip:
         }
         with pytest.raises(tc.MalformedData):
             parse_document(json.dumps(doc))  # m(g, f) is missing
+
+
+def _next_cell(cells, value, skip=lambda cell: False):
+    """The first cell after ``value`` in identifier order, cyclically, that
+    ``skip`` does not reject, or None."""
+    ordered = sorted(cells)
+    at = ordered.index(value)
+    return next(
+        (cell for cell in ordered[at + 1:] + ordered[:at] if not skip(cell)), None
+    )
+
+
+def relaxed_variants(cat):
+    """Copies of ``cat``, one per table row through an identity of its
+    level, with that row sent to the next cell of the level; then one per
+    identity entry, sent to the next cell of its level that is not a loop
+    on the entry's cell.  Levels of a single cell give none."""
+    ids = {"one_cells": set(cat.one_identity.values()), "two_cells": set(cat.two_identity.values())}
+    for field, level in (
+        ("one_compose", "one_cells"), ("vert_compose", "two_cells"), ("horiz_compose", "two_cells"),
+    ):
+        table, cells = getattr(cat, field), getattr(cat, level)
+        for (g, f), value in table.items():
+            new = _next_cell(cells, value)
+            if (g in ids[level] or f in ids[level]) and new is not None:
+                yield dataclasses.replace(cat, **{field: {**table, (g, f): new}})
+    for field, level in (("one_identity", "one_cells"), ("two_identity", "two_cells")):
+        identity, cells = getattr(cat, field), getattr(cat, level)
+        for x, e in identity.items():
+            new = _next_cell(cells, e, lambda cell: cells[cell] == (x, x))
+            if new is not None:
+                yield dataclasses.replace(cat, **{field: {**identity, x: new}})
+
+
+class TestLosslessWriting:
+    """Both writers leave a row out only when the reader restores it with
+    the same value, so relaxed categories read back as themselves."""
+
+    @pytest.mark.parametrize("name", ["T2", "v4", "h4na", "random"])
+    def test_relaxed_categories_read_back_as_themselves(self, name):
+        if name == "random":
+            bases = [tc.random_instance(seed) for seed in range(20)]
+        else:
+            bases = [tc.gallery.by_name(name)]
+        variants = 0
+        for base in bases:
+            for cat in relaxed_variants(base):
+                text = dumps(cat)
+                assert dumps(category_to_document(cat)) == text
+                back = parse_document(text)
+                assert back == cat
+                report = list(tc.validate_two_category(cat).failures.items())
+                assert list(tc.validate_two_category(back).failures.items()) == report
+                assert report
+                variants += 1
+        assert variants > 10 * len(bases)
+
+    def test_a_broken_unit_row_survives_reflect(self, tmp_path, capsys):
+        doc = json.loads(dumps(tc.make_Tn(2)))
+        doc["compose1"] = [["h", "id:a", "h'"]]
+        file = tmp_path / "t2.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(file)]) == 1
+        assert "1-unit: fail (h)" in capsys.readouterr().out
+        assert main(["reflect", str(file)]) == 0
+        reflected = tmp_path / "reflected.json"
+        reflected.write_text(json.dumps(json.loads(capsys.readouterr().out)["reflected"]))
+        assert main(["validate", str(reflected)]) == 1
+        assert "1-unit: fail (h)" in capsys.readouterr().out.splitlines()
 
 
 class TestLooseIngest:
@@ -306,16 +381,8 @@ class TestFuzzedRows:
 
 
 def _chain(length, doubled):
-    """The free 2-preorder on the path ``0 -> 1 -> ...`` of ``length``
-    objects; with a second generator beside step ``doubled`` and a 2-cell
-    to it from the first, unless ``doubled`` is None."""
-    generators = {f"g{i}": (str(i), str(i + 1)) for i in range(length - 1)}
-    relations = ()
-    if doubled is not None:
-        generators[f"d{doubled}"] = generators[f"g{doubled}"]
-        relations = (((f"g{doubled}",), (f"d{doubled}",)),)
-    objects = tuple(str(i) for i in range(length))
-    return tc.free_two_preorder(tc.TwoGraphPresentation(objects, generators, relations))
+    """The free 2-preorder on :func:`conftest.chain_presentation`."""
+    return tc.free_two_preorder(chain_presentation(length, doubled))
 
 
 class TestDeepChains:
@@ -529,6 +596,13 @@ class TestCommands:
 
     def test_gallery_rejects_unknown_names(self, capsys):
         assert main(["gallery", "mystery"]) == 2
+
+    def test_gallery_rejects_a_count_that_is_no_decimal_number(self, capsys):
+        # "\u00b2" (superscript two) passes str.isdigit but int() refuses it
+        assert main(["gallery", "T\u00b2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown gallery name 'T\u00b2'\n"
 
     def test_iso_finds_and_refuses(self, workdir, capsys):
         _, write = workdir

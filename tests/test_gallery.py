@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -12,6 +13,7 @@ from twocat.serialize import parse_document
 from conftest import (
     brute_horizontal_triples,
     brute_vertical_triples,
+    chain_presentation,
     law_breaking_document,
     reference_category,
 )
@@ -237,6 +239,43 @@ COVER_BASES = {
     "h4": tc.make_h4,
     "h4_assoc": tc.make_h4_assoc,
 }
+
+
+class TestPathWalkMatchesTheReference:
+    """The path walk lists cells in the pinned reference's order; the
+    tables hold the same rows."""
+
+    PRESENTATIONS = {
+        "v4": tc.gallery.V4_PRESENTATION,
+        "h4": tc.gallery.H4_PRESENTATION,
+        "vh4": tc.gallery.VH4_PRESENTATION,
+        **{f"chain{n}": chain_presentation(n, None) for n in range(2, 31)},
+        **{f"chain{n}-doubled": chain_presentation(n, (n - 1) // 2) for n in (2, 7, 16, 30)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+    def test_cells_and_tables(self, name, reference):
+        presentation = self.PRESENTATIONS[name]
+        ours = tc.free_two_preorder(presentation)
+        theirs = reference.free_two_preorder(
+            reference.TwoGraphPresentation(*dataclasses.astuple(presentation))
+        )
+        assert list(ours.one_cells.items()) == list(theirs.one_cells.items())
+        assert list(ours.two_cells.items()) == list(theirs.two_cells.items())
+        for table in ("one_compose", "vert_compose", "horiz_compose"):
+            assert getattr(ours, table) == getattr(theirs, table)
+
+    def test_a_cycle_is_reported_before_an_unknown_endpoint(self):
+        presentation = TwoGraphPresentation(
+            objects=("x", "y"),
+            generators={"f": ("x", "y"), "g": ("y", "x"), "u": ("x", "nowhere")},
+            relations=(),
+        )
+        with pytest.raises(tc.CyclicPresentation, match="through object 'y'"):
+            tc.free_two_preorder(presentation)
+        acyclic = dataclasses.replace(presentation, generators={"f": ("x", "y"), "u": ("x", "?")})
+        with pytest.raises(tc.MalformedData, match="'u' has unknown endpoints"):
+            tc.free_two_preorder(acyclic)
 
 
 class TestCoversMatchTheReference:
