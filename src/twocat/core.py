@@ -309,34 +309,25 @@ def _add_unit_rows(tables, one_cells, one_identity, two_cells, two_identity):
     pair then always agree, so the order of the cells does not matter.
     """
     one, vert, horiz = tables
-    he = {x: two_identity[e] for x, e in one_identity.items() if e in two_identity}
-    hends = {s: one_cells.get(two_cells[s][0]) for s in he.values() if s in two_cells}
-    levels = ((one_identity, one_cells), (two_identity, two_cells), (he, hends))
-    # per level, the identities that rows after them and rows before them
-    # compose with: all of them when every identity is a loop on its cell
-    if all(ends.get(e) == (x, x) for identity, ends in levels[:2] for x, e in identity.items()):
-        (r1, l1), (r2, l2), (rh, lh) = ((identity, identity) for identity, _ in levels)
-    else:
-        (r1, l1), (r2, l2), (rh, lh) = (
-            [{x: e for x, e in identity.items() if (ends.get(e) or (None, None))[side] == x}
-             for side in (1, 0)]
-            for identity, ends in levels
-        )
+    none = (None, None)
     for f, (d, c) in one_cells.items():
-        if (e := r1.get(d)) is not None:
+        if (e := one_identity.get(d)) is not None and one_cells.get(e, none)[1] == d:
             one.setdefault((f, e), f)
-        if (e := l1.get(c)) is not None:
+        if (e := one_identity.get(c)) is not None and one_cells.get(e, none)[0] == c:
             one.setdefault((e, f), f)
     for t, (vd, vc) in two_cells.items():
-        if (e := r2.get(vd)) is not None:
+        if (e := two_identity.get(vd)) is not None and two_cells.get(e, none)[1] == vd:
             vert.setdefault((t, e), t)
-        if (e := l2.get(vc)) is not None:
+        if (e := two_identity.get(vc)) is not None and two_cells.get(e, none)[0] == vc:
             vert.setdefault((e, t), t)
-        hd, hc = one_cells.get(vd, (None, None))
-        if (e := rh.get(hd)) is not None:
-            horiz.setdefault((t, e), t)
-        if (e := lh.get(hc)) is not None:
-            horiz.setdefault((e, t), t)
+        # a horizontal identity's ends are those of its vertical domain
+        hd, hc = one_cells.get(vd, none)
+        if (e := two_identity.get(one_identity.get(hd))) is not None:
+            if one_cells.get(two_cells.get(e, none)[0], none)[1] == hd:
+                horiz.setdefault((t, e), t)
+        if (e := two_identity.get(one_identity.get(hc))) is not None:
+            if one_cells.get(two_cells.get(e, none)[0], none)[0] == hc:
+                horiz.setdefault((e, t), t)
 
 
 def _listed_rows(cat):

@@ -171,7 +171,12 @@ def _free_two_preorder_with_meta(presentation):
 
 
 def free_two_preorder(presentation):
-    """All paths of an acyclic presentation with the generated 2-cell preorder."""
+    """All paths of an acyclic presentation with the generated 2-cell preorder.
+
+    The paths are listed in one depth-first walk that also finds cycles, so
+    a cyclic presentation, or one with a generator of unknown endpoint, is
+    rejected only after the acyclic paths the walk meets first are listed.
+    """
     return _free_two_preorder_with_meta(presentation)[0]
 
 
