@@ -8,9 +8,7 @@ from .classify import (
     covering_oracle,
     is_covering,
     is_edm,
-    is_stably_vertical,
     is_trivial_covering,
-    is_vertical,
     trivial_covering_oracle,
 )
 from .core import (
@@ -54,8 +52,6 @@ from .gallery import (
     edm_cover,
     edm_summands,
     free_two_preorder,
-    make_T,
-    make_Tn,
     make_h4,
     make_h4_assoc,
     make_h4_na,
@@ -68,6 +64,8 @@ from .limits import (
     PullbackResult,
     graph_pullback,
     is_pullback_square,
+    make_T,
+    make_Tn,
     pair_into_pullback,
     product,
     pullback,
@@ -80,7 +78,9 @@ from .reflection import (
     check_stable_units,
     connected_component,
     in_class_E,
+    is_stably_vertical,
     is_two_preorder,
+    is_vertical,
     reflect,
     reflect_functor,
     underlying_graph_morphism,

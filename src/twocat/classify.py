@@ -5,13 +5,16 @@ maps; the two oracles recompute trivial coverings and coverings from their
 defining pullback conditions so the pair can be cross-checked on every
 input.  Witnesses are the lexicographically least failing cells.  The
 hom-wise predicates visit only nonempty vertical homs.
+
+The two vertical predicates live in :mod:`.reflection`, whose probe checks
+use them; :func:`classify` reports them beside the three defined here.
 """
 
 from dataclasses import dataclass
 
 from .core import _bijectivity_witness, _chains, enumerate_two_functors
-from .limits import graph_pullback
-from .reflection import _probe_object, _reflected_square, is_two_preorder
+from .limits import graph_pullback, make_T
+from .reflection import _reflected_square, is_stably_vertical, is_two_preorder, is_vertical
 
 
 @dataclass(frozen=True)
@@ -96,50 +99,6 @@ def _lifts(f2, below, source_ends, target_ends):
     return lifts
 
 
-def _pulled_back_homs(fun, witness):
-    """The target's nonempty vertical homs over source 1-cells, least first.
-
-    ``None`` unless ``f0`` and ``f1`` are bijections; the least witness that
-    one is not then goes to ``witness``.
-    """
-    for mapping, codomain in ((fun.f0, fun.target.objects), (fun.f1, fun.target.one_cells)):
-        bad = _bijectivity_witness(mapping, codomain)
-        if bad is not None:
-            if witness is not None:
-                witness.append(bad)
-            return None
-    inverse = {v: u for u, v in fun.f1.items()}
-    return sorted(((inverse[h], inverse[k]), b) for (h, k), b in fun.target._hom_index.items())
-
-
-def is_vertical(fun, witness=None):
-    """Bijective below 2-cells and reflecting nonemptiness of vertical homs."""
-    homs = _pulled_back_homs(fun, witness)
-    if homs is None:
-        return False
-    for pair, _cells in homs:
-        if pair not in fun.source._hom_index:
-            if witness is not None:
-                witness.append(pair)
-            return False
-    return True
-
-
-def is_stably_vertical(fun, witness=None):
-    """Bijective below 2-cells and surjective on every vertical hom."""
-    homs = _pulled_back_homs(fun, witness)
-    if homs is None:
-        return False
-    for (h, k), cells in homs:
-        image = {fun.f2[t] for t in fun.source._hom_index.get((h, k), ())}
-        for b in cells:
-            if b not in image:
-                if witness is not None:
-                    witness.append((h, k, b))
-                return False
-    return True
-
-
 def is_trivial_covering(fun, witness=None):
     """Bijective on every nonempty vertical hom of the source."""
     for (h, k), cells in sorted(fun.source._hom_index.items()):
@@ -195,8 +154,7 @@ def covering_oracle(fun):
     the join of the tables could not fail, and the verdict reads carriers
     only, as the covering predicate does.
     """
-    probe = _probe_object()
-    for phi in enumerate_two_functors(probe, fun.target):
+    for phi in enumerate_two_functors(make_T(), fun.target):
         if not is_two_preorder(graph_pullback(phi, fun)[0]):
             return False
     return True

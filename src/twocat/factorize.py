@@ -9,13 +9,7 @@ surjective on homs and the second faithful by construction.
 
 from dataclasses import dataclass
 
-from .classify import (
-    classify,
-    is_covering,
-    is_stably_vertical,
-    is_trivial_covering,
-    is_vertical,
-)
+from .classify import classify, is_covering, is_trivial_covering
 from .core import (
     TwoCategory,
     TwoFunctor,
@@ -29,7 +23,7 @@ from .core import (
     validate_two_functor,
 )
 from .limits import encoder
-from .reflection import _reflected_square
+from .reflection import _reflected_square, is_stably_vertical, is_vertical
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,15 @@ from .core import (
     TwoFunctor,
     TwoReflexiveGraph,
     _chains,
+    _group,
     assemble_two_category,
-    build_two_category,
     coproduct,
     copair,
     enumerate_two_functors,
     validate_two_category,
 )
 from .errors import BudgetExceeded, CyclicPresentation, LawViolation, MalformedData
-from .limits import product, terminal
+from .limits import make_T, make_Tn, product, terminal
 from .reflection import _component, reflect
 
 
@@ -50,9 +50,7 @@ def _enumerate_paths(presentation):
     to one of its objects raises :class:`CyclicPresentation`.
     """
     gens = presentation.generators
-    by_dom = {}
-    for gen in sorted(gens):
-        by_dom.setdefault(gens[gen][0], []).append(gen)
+    by_dom = _group(gens, lambda gen: gens[gen][0])
 
     ends = {}
     for start in sorted(presentation.objects):
@@ -72,7 +70,8 @@ def _free_two_preorder_with_meta(presentation):
     """Free 2-preorder on a presentation plus path metadata per cell.
 
     A path is keyed ``(start, gens)`` since every identity path has the
-    same empty generator tuple.
+    same empty generator tuple.  Each path's 2-cells go to the paths its
+    rewrites reach, walked on one stack and listed in path order.
     """
     ends = _enumerate_paths(presentation)  # a cycle is reported before an unknown endpoint
     gens = presentation.generators
@@ -93,6 +92,12 @@ def _free_two_preorder_with_meta(presentation):
             raise MalformedData(f"relation {lower} <= {upper} is not parallel")
         rules.append((lower, upper))
 
+    pid_of = {key: _path_id(key[1], key[0]) for key in ends}
+    if len(set(pid_of.values())) != len(pid_of):
+        raise MalformedData("generator names produce colliding path identifiers")
+    one_cells = {pid: (key[0], ends[key]) for key, pid in pid_of.items()}
+    one_meta = {pid: path for (_, path), pid in pid_of.items()}
+
     # one-step rewrites replace a lower side occurring inside a path by the
     # corresponding upper side; the 2-cell relation is their reflexive and
     # transitive closure, which is automatically closed under pasting
@@ -103,53 +108,27 @@ def _free_two_preorder_with_meta(presentation):
                 if path[i : i + width] == lo:
                     yield path[:i] + up + path[i + width :]
 
-    reachable = {}
-    for start, path in ends:
-        seen = {path}
-        frontier = [path]
-        while frontier:
-            nxt = []
-            for current in frontier:
-                for succ in successors(current):
-                    if succ not in seen:
-                        seen.add(succ)
-                        nxt.append(succ)
-            frontier = nxt
-        reachable[(start, path)] = seen
-
-    pid_of = {key: _path_id(key[1], key[0]) for key in ends}
-    if len(set(pid_of.values())) != len(pid_of):
-        raise MalformedData("generator names produce colliding path identifiers")
-
-    one_cells = {}
-    one_meta = {}
-    for (start, path), end in ends.items():
-        pid = pid_of[(start, path)]
-        one_cells[pid] = (start, end)
-        one_meta[pid] = path
-    one_identity = {obj: f"id:{obj}" for obj in presentation.objects}
-
-    two_cells = {}
-    two_meta = {}
-    for start, path in ends:
-        pid = pid_of[(start, path)]
-        for succ in sorted(reachable[(start, path)]):
+    two_cells, two_meta = {}, {}
+    for (start, path), pid in pid_of.items():
+        seen, stack = {path}, [path]
+        while stack:
+            for succ in successors(stack.pop()):
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        for succ in sorted(seen):
             spid = pid_of[(start, succ)]
             cid = f"vid:{pid}" if succ == path else f"{pid}<={spid}"
             two_cells[cid] = (pid, spid)
             two_meta[cid] = (path, succ)
-    two_identity = {
-        pid_of[(start, path)]: f"vid:{pid_of[(start, path)]}"
-        for start, path in ends
-    }
     cell_by_boundary = {bounds: cid for cid, bounds in two_cells.items()}
 
     graph = TwoReflexiveGraph(
         objects=presentation.objects,
         one_cells=one_cells,
-        one_identity=one_identity,
+        one_identity={obj: f"id:{obj}" for obj in presentation.objects},
         two_cells=two_cells,
-        two_identity=two_identity,
+        two_identity={pid: f"vid:{pid}" for pid in one_cells},
     )
     # a composite path is the concatenation; a composite 2-cell is the one
     # between the composite boundaries
@@ -183,22 +162,6 @@ def free_two_preorder(presentation):
 # ---------------------------------------------------------------------------
 # fixed gallery objects
 # ---------------------------------------------------------------------------
-
-def make_Tn(n):
-    """Two objects, two parallel non-identity arrows, n parallel 2-cells."""
-    if n < 0:
-        raise MalformedData("the number of parallel 2-cells must be >= 0")
-    return build_two_category(
-        objects=("a", "b"),
-        one_cells={"h": ("a", "b"), "h'": ("a", "b")},
-        two_cells={f"t{i}": ("h", "h'") for i in range(1, n + 1)},
-    )
-
-
-def make_T():
-    """The probe 2-preorder: one non-identity 2-cell between parallel arrows."""
-    return make_Tn(1)
-
 
 V4_PRESENTATION = TwoGraphPresentation(
     objects=("0", "1"),
@@ -259,9 +222,11 @@ _SPANS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 def _collapsed_h4(extra_cell):
     """Four objects, one top and one bottom arrow per span, meet composition.
 
-    With ``extra_cell`` a second 2-cell is placed beside the full-span one
-    and the pasting of the two half-span cells is redirected onto it, which
-    is exactly what breaks horizontal associativity.
+    A horizontal composite is the 2-cell between the composite boundaries.
+    With ``extra_cell`` a second 2-cell ``a03x`` is placed beside the
+    full-span ``a03``, and a full-span composite whose split point is
+    object 1 lands on ``a03x``.  That redirect, ``a13 * a01 = a03x`` while
+    ``a23 * a02 = a03``, is exactly what breaks horizontal associativity.
     """
     objects = tuple(str(i) for i in range(4))
     one_cells = {f"id:{x}": (x, x) for x in objects}
@@ -293,12 +258,6 @@ def _collapsed_h4(extra_cell):
         b, a = key
         return a if b.startswith("vid:") else b
 
-    named_pastings = {
-        ("a12", "a01"): "a02",
-        ("a23", "a12"): "a13",
-        ("a23", "a02"): "a03",
-        ("a13", "a01"): "a03x" if extra_cell else "a03",
-    }
     he_cells = {f"vid:id:{x}" for x in objects}
     by_boundary = graph._hom_index
 
@@ -308,8 +267,6 @@ def _collapsed_h4(extra_cell):
             return b
         if b in he_cells:
             return a
-        if key in named_pastings:
-            return named_pastings[key]
         bounds = (
             compose1((graph.vdom(b), graph.vdom(a))),
             compose1((graph.vcod(b), graph.vcod(a))),

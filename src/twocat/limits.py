@@ -1,4 +1,5 @@
-"""Pointwise finite limits: pullbacks, binary products, the terminal object.
+"""Pointwise finite limits: pullbacks, binary products, the terminal object,
+and the probe family ``T_n`` that the reflection's checks pull back along.
 
 Apex cells are canonical pair encodings ``(x|y)`` of the input identifiers
 (escaped where plain names would collide, see :func:`encoder`),
@@ -198,6 +199,22 @@ def pair_into_pullback(result, u, w):
 def terminal():
     """The one-object, one-1-cell, one-2-cell 2-category."""
     return build_two_category(("pt",), {}, {})
+
+
+def make_Tn(n):
+    """Two objects, two parallel non-identity arrows, n parallel 2-cells."""
+    if n < 0:
+        raise MalformedData("the number of parallel 2-cells must be >= 0")
+    return build_two_category(
+        objects=("a", "b"),
+        one_cells={"h": ("a", "b"), "h'": ("a", "b")},
+        two_cells={f"t{i}": ("h", "h'") for i in range(1, n + 1)},
+    )
+
+
+def make_T():
+    """The probe 2-preorder: one non-identity 2-cell between parallel arrows."""
+    return make_Tn(1)
 
 
 def terminal_functor(cat, point=None):

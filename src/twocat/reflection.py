@@ -5,6 +5,11 @@ The reflected structure keeps objects and 1-cells and identifies all
 on 2-cells; its underlying graph morphism is bijective on objects and
 1-cells and surjective on 2-cells (the ground-structure class checked by
 :func:`in_class_E`).
+
+The classes the reflection defines start here: :func:`is_vertical` (the
+functors it inverts) and :func:`is_stably_vertical` (their pullback-stable
+part).  The checks of semi-left-exactness and of stable units decide the
+paper's claims with them, probing with ``T`` from :mod:`.limits`.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ from .core import (
     enumerate_two_functors,
 )
 from .errors import LawViolation, MismatchedTarget
-from .limits import pair_into_pullback, pullback
+from .limits import make_T, pair_into_pullback, pullback
 
 
 @dataclass(frozen=True)
@@ -166,10 +171,48 @@ def _component(unit, mu):
     return pullback(unit, mu)
 
 
-def _probe_object():
-    from .gallery import make_T
+def _pulled_back_homs(fun, witness):
+    """The target's nonempty vertical homs over source 1-cells, least first.
 
-    return make_T()
+    ``None`` unless ``f0`` and ``f1`` are bijections; the least witness that
+    one is not then goes to ``witness``.
+    """
+    for mapping, codomain in ((fun.f0, fun.target.objects), (fun.f1, fun.target.one_cells)):
+        bad = _bijectivity_witness(mapping, codomain)
+        if bad is not None:
+            if witness is not None:
+                witness.append(bad)
+            return None
+    inverse = {v: u for u, v in fun.f1.items()}
+    return sorted(((inverse[h], inverse[k]), b) for (h, k), b in fun.target._hom_index.items())
+
+
+def is_vertical(fun, witness=None):
+    """Bijective below 2-cells and reflecting nonemptiness of vertical homs."""
+    homs = _pulled_back_homs(fun, witness)
+    if homs is None:
+        return False
+    for pair, _cells in homs:
+        if pair not in fun.source._hom_index:
+            if witness is not None:
+                witness.append(pair)
+            return False
+    return True
+
+
+def is_stably_vertical(fun, witness=None):
+    """Bijective below 2-cells and surjective on every vertical hom."""
+    homs = _pulled_back_homs(fun, witness)
+    if homs is None:
+        return False
+    for (h, k), cells in homs:
+        image = {fun.f2[t] for t in fun.source._hom_index.get((h, k), ())}
+        for b in cells:
+            if b not in image:
+                if witness is not None:
+                    witness.append((h, k, b))
+                return False
+    return True
 
 
 def check_semi_left_exact(cat):
@@ -182,14 +225,11 @@ def check_semi_left_exact(cat):
     is checked for well-formedness and reflected once, and each component
     is built with the unit as the second leg, so the unit is indexed once.
     """
-    from .classify import is_vertical
-
-    probe = _probe_object()
     check_well_formed(cat)
     unit = reflect(cat).unit
     return all(
         is_vertical(pullback(mu, unit).proj1)
-        for mu in enumerate_two_functors(probe, unit.target)
+        for mu in enumerate_two_functors(make_T(), unit.target)
     )
 
 
@@ -203,8 +243,6 @@ def check_stable_units(cat, other):
     and reflected once each before either verdict, so a law-breaking
     second input still raises.
     """
-    from .classify import is_stably_vertical
-
     for x in (cat, other):
         check_well_formed(x)
     unit_c, unit_d = reflect(cat).unit, reflect(other).unit

@@ -629,6 +629,40 @@ class TestCommands:
     def test_missing_file_is_malformed(self):
         assert main(["validate", "/nonexistent/place.json"]) == 2
 
+    def test_a_dash_reads_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(dumps(to_document(tc.make_T()))))
+        assert main(["validate", "-"]) == 0
+        assert "interchange: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [("validate", "2-category"), ("classify", "2-functor"), ("edm-cover", "2-category")],
+    )
+    def test_a_document_of_the_other_kind(self, workdir, capsys, t_family, command, kind):
+        _, write = workdir
+        value = tc.identity_two_functor(t_family[1]) if kind == "2-category" else t_family[1]
+        path = write("other.json", value)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path!r} does not hold a {kind} document\n"
+
+    def test_iso_reads_a_cap_per_level(self, workdir, capsys):
+        _, write = workdir
+        a = write("a.json", tc.make_T())  # carriers (2, 4, 5)
+        assert main(["--cap", "2,8,8", "iso", a, a]) == 0
+        assert json.loads(capsys.readouterr().out)["f2"]
+        assert main(["--cap", "2,8,4", "iso", a, a]) == 3
+
+    @pytest.mark.parametrize("cap", ["x", "2,8", "2,8,x"])
+    def test_iso_rejects_a_cap_of_another_form(self, workdir, capsys, cap):
+        _, write = workdir
+        a = write("a.json", tc.make_T())
+        assert main(["--cap", cap, "iso", a, a]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cap wants N or N0,N1,N2\n"
+
 
 class TestLawBreakingInput:
     @pytest.fixture()

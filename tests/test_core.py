@@ -52,6 +52,17 @@ class TestValidation:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "one_cells, two_cells, message",
+        [
+            ({"id:a": ("a", "b")}, {}, "cell 'id:a' is reserved for the identity of 'a'"),
+            ({"u": ("a", "b")}, {"vid:u": ("u", "id:a")}, "'vid:u' is reserved for the identity"),
+        ],
+    )
+    def test_a_listed_identity_name_off_its_loop(self, one_cells, two_cells, message):
+        with pytest.raises(tc.MalformedData, match=message):
+            build_two_category(objects=("a", "b"), one_cells=one_cells, two_cells=two_cells)
+
     def test_missing_table_row_is_malformed(self):
         cat = tc.make_T()
         broken = tc.TwoCategory(
@@ -601,6 +612,40 @@ class TestCoproduct:
     def test_unary_coproduct_is_a_relabeling(self):
         union, _ = tc.coproduct([tc.make_v4()])
         assert tc.find_isomorphism(union, tc.make_v4()) is not None
+
+
+class TestCopair:
+    """Each leg must start at its part and all legs must end in one target."""
+
+    def test_legs_into_one_target_give_the_cotuple(self):
+        T, T2 = tc.make_T(), tc.make_Tn(2)
+        union, injections = tc.coproduct([T, T2])
+        legs = [pick_functor(T, T2, t1="t2"), tc.identity_two_functor(T2)]
+        cotuple = tc.copair(union, injections, legs)
+        for inj, leg in zip(injections, legs):
+            assert tc.compose_two_functors(cotuple, inj) == leg
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("one leg short", "one leg per coproduct part is required"),
+            ("legs swapped", "leg does not start at its coproduct part"),
+            ("two targets", "legs end in different targets"),
+            ("no parts", "the empty coproduct has no canonical leg target"),
+        ],
+    )
+    def test_a_mismatched_boundary(self, case, message):
+        T, T2 = tc.make_T(), tc.make_Tn(2)
+        union, injections = tc.coproduct([T, T2])
+        id_t, id_t2 = tc.identity_two_functor(T), tc.identity_two_functor(T2)
+        args = {
+            "one leg short": (union, injections, [id_t]),
+            "legs swapped": (union, injections, [id_t2, id_t]),
+            "two targets": (union, injections, [id_t, id_t2]),
+            "no parts": (*tc.coproduct([]), []),
+        }[case]
+        with pytest.raises(tc.MismatchedBoundary, match=message):
+            tc.copair(*args)
 
 
 class TestIsomorphismSearch:

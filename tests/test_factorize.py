@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -119,6 +120,63 @@ class TestVerification:
             certificates={"e": tc.classify(fun), "m": tc.classify(fun)},
         )
         assert tc.verify_factorization(fun, fac) == []
+
+
+def _broken_identity(cat):
+    """The identity on ``cat`` with ``vid:h`` sent to ``t1``: a graph map
+    that breaks the boundary and identity equations at one 2-cell."""
+    fun = tc.identity_two_functor(cat)
+    return dataclasses.replace(fun, f2={**fun.f2, "vid:h": "t1"})
+
+
+def _factorization(e, m, system):
+    return tc.MLFactorization(e=e, m=m, middle=e.target, system=system, certificates={})
+
+
+class TestEachCheckRejectsAlone:
+    """Negative controls: each factorization breaks exactly one check of
+    :func:`verify_factorization`, and that check's message is the only one.
+
+    The functors named ``inclusion``, ``collapse`` and ``swap`` are corpus
+    functors between T0..T3; the corpus holds 2-functors only, so the two
+    factors that are not 2-functors are built by hand from an identity.
+    """
+
+    @pytest.fixture()
+    def functors(self, t_family):
+        T0, T1, T2 = t_family[:3]
+        return {
+            "inclusion": pick_functor(T0, T1),  # misses the hom (h, h')
+            "collapse": pick_functor(T2, T1, t1="t1", t2="t1"),  # not injective on it
+            "swap": pick_functor(T2, T2, t1="t2", t2="t1"),
+            "broken": _broken_identity(T1),
+            "id1": tc.identity_two_functor(T1),
+            "id2": tc.identity_two_functor(T2),
+        }
+
+    @pytest.mark.parametrize(
+        "fun, e, m, system, message",
+        [
+            ("swap", "id2", "id2", "monotone_light",
+             "the two factors do not compose to the original functor"),
+            ("broken", "broken", "id1", "reflective",
+             "first factor is not a 2-functor: "),
+            ("broken", "id1", "broken", "monotone_light",
+             "second factor is not a 2-functor: "),
+            ("inclusion", "inclusion", "id1", "reflective",
+             "first factor is not inverted by the reflection"),
+            ("collapse", "id2", "collapse", "reflective",
+             "second factor is not a trivial covering"),
+            ("inclusion", "inclusion", "id1", "monotone_light",
+             "first factor is not stably vertical"),
+            ("collapse", "id2", "collapse", "monotone_light",
+             "second factor is not a covering"),
+        ],
+    )
+    def test_one_violation(self, functors, fun, e, m, system, message):
+        fac = _factorization(functors[e], functors[m], system)
+        violations = tc.verify_factorization(functors[fun], fac)
+        assert len(violations) == 1 and violations[0].startswith(message), violations
 
 
 class TestNontriviality:

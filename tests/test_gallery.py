@@ -149,6 +149,58 @@ class TestFreeTwoPreorder:
         assert tc.validate_two_category(cat).all_pass
 
 
+class TestPresentationRejections:
+    """Each malformed relation, and generator names whose paths collide,
+    is rejected with its own message."""
+
+    GENERATORS = {"x": ("a", "b"), "y": ("b", "c"), "z": ("a", "b")}
+
+    @pytest.mark.parametrize(
+        "relation, message",
+        [
+            (((), ("x",)), "relation sides must be nonempty generator paths"),
+            ((("x",), ()), "relation sides must be nonempty generator paths"),
+            ((("x",), ("w",)), r"relation \('x',\) <= \('w',\) uses unknown paths"),
+            ((("y", "x"), ("y", "z")), "uses unknown paths"),
+            ((("x",), ("y",)), r"relation \('x',\) <= \('y',\) is not parallel"),
+            ((("x",), ("x", "y")), "is not parallel"),
+        ],
+    )
+    def test_a_malformed_relation(self, relation, message):
+        presentation = TwoGraphPresentation(("a", "b", "c"), self.GENERATORS, (relation,))
+        with pytest.raises(tc.MalformedData, match=message):
+            tc.free_two_preorder(presentation)
+
+    def test_relations_are_checked_in_order(self):
+        relations = ((("x",), ("z",)), (("x",), ("y",)), ((), ("x",)))
+        presentation = TwoGraphPresentation(("a", "b", "c"), self.GENERATORS, relations)
+        with pytest.raises(tc.MalformedData, match="is not parallel"):
+            tc.free_two_preorder(presentation)
+
+    def test_a_generator_named_like_a_path(self):
+        generators = {**self.GENERATORS, "x.y": ("a", "c")}
+        presentation = TwoGraphPresentation(("a", "b", "c"), generators, ())
+        with pytest.raises(tc.MalformedData, match="colliding path identifiers"):
+            tc.free_two_preorder(presentation)
+
+    def test_a_bad_relation_is_reported_before_a_collision(self):
+        generators = {**self.GENERATORS, "x.y": ("a", "c")}
+        presentation = TwoGraphPresentation(("a", "b", "c"), generators, ((("x",), ("y",)),))
+        with pytest.raises(tc.MalformedData, match="is not parallel"):
+            tc.free_two_preorder(presentation)
+
+
+class TestCollapsesMatchTheReference:
+    """Both collapses of h4 equal the pinned reference's, field by field:
+    the same cells and the same table rows."""
+
+    @pytest.mark.parametrize("name", ["make_h4_na", "make_h4_assoc"])
+    def test_fields(self, name, reference):
+        ours, theirs = getattr(tc, name)(), getattr(reference, name)()
+        for field in dataclasses.fields(ours):
+            assert getattr(ours, field.name) == getattr(theirs, field.name), field.name
+
+
 class TestNonAssociativeCompanion:
     def test_report_fails_exactly_h_assoc(self):
         report = tc.validate_two_category(tc.make_h4_na())
