@@ -62,9 +62,9 @@ class _Carriers:
         return self.two_cells[t][1]
 
     def horiz_ends(self):
-        """Each 2-cell's horizontal ``(hdom, hcod)``: the ends of its vertical domain."""
-        one = self.one_cells
-        return {t: one[h] for t, (h, _) in self.two_cells.items()}
+        """Each 2-cell's ``(hdom, hcod)``, the ends of its vdom (``(None, None)`` if none)."""
+        one, none = self.one_cells, (None, None)
+        return {t: one.get(h, none) for t, (h, _) in self.two_cells.items()}
 
     @cached_property
     def _ones_by_ends(self):
@@ -259,10 +259,11 @@ def build_two_category(
 
     Omitted identity cells are created under the reserved names
     ``id:<object>`` and ``vid:<1-cell>`` (a listed cell already carrying
-    such a name is adopted as the identity).  Table rows forced by the unit
-    laws are filled in where their pair composes; explicit rows always win.  Totality of anything
-    not forced by units is the caller's responsibility and is checked by
-    :func:`validate_two_category`.
+    such a name is adopted as the identity).  The rows the unit laws force
+    are filled in where their pair composes, by the rule of
+    :func:`_unit_maps` that the writers read to leave them out; explicit
+    rows always win.  Totality of anything not forced by units is the
+    caller's responsibility and is checked by :func:`validate_two_category`.
     """
     objects = frozenset(objects)
     one_cells = dict(one_cells)
@@ -283,7 +284,7 @@ def build_two_category(
                 cells[name] = (x, x)
             identity[x] = name
 
-    tables = [dict(explicit or {}) for explicit in (one_compose, vert_compose, horiz_compose)]
+    tables = (dict(one_compose or {}), dict(vert_compose or {}), dict(horiz_compose or {}))
     _add_unit_rows(tables, one_cells, one_identity, two_cells, two_identity)
     one_compose, vert_compose, horiz_compose = tables
 
@@ -299,47 +300,83 @@ def build_two_category(
     )
 
 
-def _add_unit_rows(tables, one_cells, one_identity, two_cells, two_identity):
-    """Add the rows the unit laws force to ``tables`` where they have none.
-
-    ``tables`` are the compose1, vcompose and hcompose dicts.  A row over
-    an identity that is not there, or whose pair does not compose, is
-    skipped: an identity that is not a loop on its cell forces rows on one
-    side only, and the unit law reports it.  Two forced rows that share a
-    pair then always agree, so the order of the cells does not matter.
+def _unit_maps(one_cells, one_identity, two_cells, two_identity):
+    """Per level (compose1, vcompose, hcompose), the right and the left
+    identity maps: a cell starting at ``x`` composes on its right with
+    ``right[x]``, and a cell ending at ``x`` on its left with ``left[x]``.
+    The identity of ``x`` is kept on a side only where it has the boundary
+    that pair needs: its end (right) or start (left) is ``x``, horizontally
+    its ``hcod`` or ``hdom``.  So an identity that is not a loop serves one
+    side at most, and one naming a missing cell none.  O(objects + 1-cells).
     """
-    one, vert, horiz = tables
     none = (None, None)
+    r1, l1, rv, lv, rh, lh = {}, {}, {}, {}, {}, {}
+    for x, e in one_identity.items():
+        d, c = one_cells.get(e, none)
+        hd, hc = one_cells.get(two_cells.get(t := two_identity.get(e), none)[0], none)
+        if c == x:
+            r1[x] = e
+        if d == x:
+            l1[x] = e
+        if hc == x:
+            rh[x] = t
+        if hd == x:
+            lh[x] = t
+    for u, e in two_identity.items():
+        d, c = two_cells.get(e, none)
+        if c == u:
+            rv[u] = e
+        if d == u:
+            lv[u] = e
+    return (r1, l1), (rv, lv), (rh, lh)
+
+
+def _add_unit_rows(tables, one_cells, one_identity, two_cells, two_identity):
+    """Add ``(f, e) -> f`` and ``(e, f) -> f`` to the compose1, vcompose and
+    hcompose ``tables`` for the identities :func:`_unit_maps` gives each
+    cell ``f``, where a table has no row.  Two such rows on one pair agree,
+    so the order of the cells does not matter."""
+    one, vert, horiz = tables
+    (r1, l1), (rv, lv), (rh, lh) = _unit_maps(one_cells, one_identity, two_cells, two_identity)
     for f, (d, c) in one_cells.items():
-        if (e := one_identity.get(d)) is not None and one_cells.get(e, none)[1] == d:
+        if (e := r1.get(d)) is not None:
             one.setdefault((f, e), f)
-        if (e := one_identity.get(c)) is not None and one_cells.get(e, none)[0] == c:
+        if (e := l1.get(c)) is not None:
             one.setdefault((e, f), f)
     for t, (vd, vc) in two_cells.items():
-        if (e := two_identity.get(vd)) is not None and two_cells.get(e, none)[1] == vd:
+        if (e := rv.get(vd)) is not None:
             vert.setdefault((t, e), t)
-        if (e := two_identity.get(vc)) is not None and two_cells.get(e, none)[0] == vc:
+        if (e := lv.get(vc)) is not None:
             vert.setdefault((e, t), t)
-        # a horizontal identity's ends are those of its vertical domain
-        hd, hc = one_cells.get(vd, none)
-        if (e := two_identity.get(one_identity.get(hd))) is not None:
-            if one_cells.get(two_cells.get(e, none)[0], none)[1] == hd:
-                horiz.setdefault((t, e), t)
-        if (e := two_identity.get(one_identity.get(hc))) is not None:
-            if one_cells.get(two_cells.get(e, none)[0], none)[0] == hc:
-                horiz.setdefault((e, t), t)
+        hd, hc = one_cells.get(vd, (None, None))  # the horizontal ends
+        if (e := rh.get(hd)) is not None:
+            horiz.setdefault((t, e), t)
+        if (e := lh.get(hc)) is not None:
+            horiz.setdefault((e, t), t)
 
 
 def _listed_rows(cat):
-    """Per composition table of ``cat``, the table and the keys of the rows
-    that a document lists, sorted: all but the rows that
-    :func:`build_two_category` restores with the same value."""
-    forced = ({}, {}, {})
-    _add_unit_rows(forced, cat.one_cells, cat.one_identity, cat.two_cells, cat.two_identity)
-    return [
-        (table, sorted([key for key, v in table.items() if unit.get(key) != v]))
-        for table, unit in zip((cat.one_compose, cat.vert_compose, cat.horiz_compose), forced)
-    ]
+    """Per composition table of ``cat``, the table and the sorted keys of
+    the rows a document lists.  A row ``(g, f) -> v`` is left out exactly
+    when ``v == g`` and ``f`` is the right identity at the start of ``g``,
+    or ``v == f`` and ``g`` is the left identity at the end of ``f``, by
+    :func:`_unit_maps`: the rows :func:`build_two_category` restores with
+    the same value.  No forced row is built."""
+    none, out = (None, None), []
+    for table, ends, (right, left) in zip(
+        (cat.one_compose, cat.vert_compose, cat.horiz_compose),
+        (cat.one_cells, cat.two_cells, cat.horiz_ends()),
+        _unit_maps(cat.one_cells, cat.one_identity, cat.two_cells, cat.two_identity),
+    ):
+        keys = []
+        for key, v in table.items():
+            g, f = key
+            if not (v == g and f == right.get(ends.get(g, none)[0])
+                    or v == f and g == left.get(ends.get(f, none)[1])):
+                keys.append(key)
+        keys.sort()
+        out.append((table, keys))
+    return out
 
 
 def assemble_two_category(graph, one_rule, vert_rule, horiz_rule):
@@ -721,11 +758,12 @@ def functors_equal(f, g):
 # coproducts
 # ---------------------------------------------------------------------------
 
-#: The fields of a :class:`TwoCategory` by kind: the carriers with their
-#: boundaries, the identity maps and the composition tables.
+#: The dict fields of a :class:`TwoCategory` by kind: the carriers with
+#: their boundaries, the identity maps and the composition tables.
 _BOUNDARIES = ("one_cells", "two_cells")
 _IDENTITIES = ("one_identity", "two_identity")
 _TABLES = ("one_compose", "vert_compose", "horiz_compose")
+_DICT_FIELDS = (*_BOUNDARIES, *_IDENTITIES, *_TABLES)
 
 
 def coproduct(parts):
@@ -735,7 +773,7 @@ def coproduct(parts):
     surjective and pairwise disjoint on carriers.
     """
     objects = set()
-    fields = {name: {} for name in (*_BOUNDARIES, *_IDENTITIES, *_TABLES)}
+    fields = {name: {} for name in _DICT_FIELDS}
     for index, part in enumerate(parts):
         tag = f"{index}:".__add__
         objects.update(tag(x) for x in part.objects)

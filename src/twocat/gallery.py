@@ -1,7 +1,7 @@
 """Canonical 2-categories, free 2-preorders, and test-corpus generators."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import islice
 
@@ -9,6 +9,7 @@ from .core import (
     SearchCaps,
     TwoFunctor,
     TwoReflexiveGraph,
+    _DICT_FIELDS,
     _chains,
     _group,
     assemble_two_category,
@@ -350,6 +351,12 @@ def _presented_functor(presentation, free, base, images):
 EDM_COVER_MAX_TWO_CELLS = 200_000
 
 
+@cache
+def _free_pair():
+    """The free v4 and h4 with path metadata; only copies are handed out."""
+    return tuple(map(_free_two_preorder_with_meta, (V4_PRESENTATION, H4_PRESENTATION)))
+
+
 def edm_summands(base):
     """One projected copy of v4 or h4 per composable 2-cell triple of ``base``.
 
@@ -357,19 +364,19 @@ def edm_summands(base):
     application order and ``leg`` maps the part onto it.  A law-breaking
     ``base`` raises :class:`LawViolation` with its first recorded failure,
     and a cover of more than :data:`EDM_COVER_MAX_TWO_CELLS` 2-cells
-    raises :class:`BudgetExceeded` before any part is built.
+    raises :class:`BudgetExceeded` before any summand is built; the
+    summands of a kind share one part.
     """
     failures = validate_two_category(base).failures
     if failures:
         raise LawViolation(*next(iter(failures.items())))
     kinds = []
     room = EDM_COVER_MAX_TWO_CELLS
-    for kind, presentation, ends in (
+    for (kind, presentation, ends), (part, *meta) in zip((
         ("v", V4_PRESENTATION, base.two_cells),
         ("h", H4_PRESENTATION, base.horiz_ends()),
-    ):
-        free = _free_two_preorder_with_meta(presentation)
-        size = len(free[0].two_cells)
+    ), _free_pair()):
+        size = len(part.two_cells)
         # one triple past the room is enough to know that it does not fit
         triples = list(islice(_chains(ends, 3), room // size + 1))
         room -= size * len(triples)
@@ -377,7 +384,8 @@ def edm_summands(base):
             raise BudgetExceeded(
                 f"the descent cover needs more than {EDM_COVER_MAX_TWO_CELLS} 2-cells"
             )
-        kinds.append((kind, presentation, free, triples))
+        part = replace(part, **{name: dict(getattr(part, name)) for name in _DICT_FIELDS})
+        kinds.append((kind, presentation, (part, *meta), triples))
     out = []
     for kind, presentation, free, triples in kinds:
         for c3, c2, c1 in triples:

@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
 import itertools
+import sys
 
 import pytest
 
 import twocat as tc
+import twocat.classify as bound_name
 from twocat import core
 
 from conftest import (
@@ -166,6 +169,22 @@ class TestClassify:
                 assert report.covering
             if report.stably_vertical:
                 assert report.vertical
+
+
+class TestTheClassifyName:
+    """The package binds the function ``classify`` over its submodule's
+    name, and ``importlib`` reaches the submodule."""
+
+    def test_importing_the_name_gives_the_function(self):
+        assert bound_name is tc.classify
+        assert bound_name.__module__ == "twocat.classify"
+        assert not hasattr(bound_name, "is_vertical")
+
+    def test_importlib_gives_the_module(self):
+        module = importlib.import_module("twocat.classify")
+        assert module is sys.modules["twocat.classify"]
+        assert module.classify is tc.classify
+        assert module.is_edm is tc.is_edm
 
 
 class TestLocalization:

@@ -172,6 +172,114 @@ class TestLosslessWriting:
         assert "1-unit: fail (h)" in capsys.readouterr().out.splitlines()
 
 
+def inline_unit_rows(cat):
+    """The compose1, vcompose and hcompose rows that the unit laws force on
+    ``cat``, by a rule stated per row: a cell's identity on each side is
+    looked up through the cell's boundary, and a row is forced only where
+    that identity exists and has the boundary the pair needs to compose."""
+    one_cells, one_identity = cat.one_cells, cat.one_identity
+    two_cells, two_identity = cat.two_cells, cat.two_identity
+    one, vert, horiz = forced = ({}, {}, {})
+    none = (None, None)
+    for f, (d, c) in one_cells.items():
+        if (e := one_identity.get(d)) is not None and one_cells.get(e, none)[1] == d:
+            one.setdefault((f, e), f)
+        if (e := one_identity.get(c)) is not None and one_cells.get(e, none)[0] == c:
+            one.setdefault((e, f), f)
+    for t, (vd, vc) in two_cells.items():
+        if (e := two_identity.get(vd)) is not None and two_cells.get(e, none)[1] == vd:
+            vert.setdefault((t, e), t)
+        if (e := two_identity.get(vc)) is not None and two_cells.get(e, none)[0] == vc:
+            vert.setdefault((e, t), t)
+        hd, hc = one_cells.get(vd, none)
+        if (e := two_identity.get(one_identity.get(hd))) is not None:
+            if one_cells.get(two_cells.get(e, none)[0], none)[1] == hd:
+                horiz.setdefault((t, e), t)
+        if (e := two_identity.get(one_identity.get(hc))) is not None:
+            if one_cells.get(two_cells.get(e, none)[0], none)[0] == hc:
+                horiz.setdefault((e, t), t)
+    return forced
+
+
+def missing_identity_variants(cat):
+    """Copies of ``cat``, one per identity entry, with that entry naming a
+    cell that is not there."""
+    for field in ("one_identity", "two_identity"):
+        identity = getattr(cat, field)
+        for x in identity:
+            yield dataclasses.replace(cat, **{field: {**identity, x: "missing"}})
+
+
+def with_stray_unit_rows(cat):
+    """``cat`` with explicit rows ``(g, e) -> g`` and ``(e, f) -> f`` for
+    every identity ``e`` that a cell's boundary names, whether or not ``e``
+    has the boundary to compose: where an identity is not a loop on its
+    cell, these rows are keyed by pairs that do not compose."""
+    one_cells, one_identity = cat.one_cells, cat.one_identity
+    two_cells, two_identity = cat.two_cells, cat.two_identity
+    one, vert, horiz = rows = ({}, {}, {})
+    for f, (d, c) in one_cells.items():
+        one[f, one_identity[d]], one[one_identity[c], f] = f, f
+    for t, (vd, vc) in two_cells.items():
+        vert[t, two_identity[vd]], vert[two_identity[vc], t] = t, t
+        hd, hc = one_cells[vd]
+        if one_identity[hd] in two_identity:
+            horiz[t, two_identity[one_identity[hd]]] = t
+        if one_identity[hc] in two_identity:
+            horiz[two_identity[one_identity[hc]], t] = t
+    fields = ("one_compose", "vert_compose", "horiz_compose")
+    return dataclasses.replace(cat, **{
+        field: {**extra, **getattr(cat, field)} for field, extra in zip(fields, rows)
+    })
+
+
+class TestListingRuleMatchesTheInlineRule:
+    """A document lists exactly the rows that the per-row unit rule does
+    not force with the same value, on valid and relaxed categories alike."""
+
+    @staticmethod
+    def categories(name):
+        if name == "corpus":
+            return list(document_corpus().values())
+        if name == "random":
+            bases = [tc.random_instance(seed) for seed in range(20)]
+            return bases + [cat for base in bases for cat in relaxed_variants(base)]
+        base = tc.gallery.by_name(name)
+        relaxed = [*relaxed_variants(base), *missing_identity_variants(base)]
+        return relaxed + [with_stray_unit_rows(cat) for cat in relaxed]
+
+    @pytest.mark.parametrize("name", ["corpus", "T2", "v4", "h4na", "random"])
+    def test_listed_keys(self, name):
+        for cat in self.categories(name):
+            tables = (cat.one_compose, cat.vert_compose, cat.horiz_compose)
+            listed = core._listed_rows(cat)
+            assert [table for table, _ in listed] == list(tables)
+            assert [keys for _, keys in listed] == [
+                sorted(key for key, v in table.items() if forced.get(key) != v)
+                for table, forced in zip(tables, inline_unit_rows(cat))
+            ]
+
+
+class TestWritingSynthesizesNothing:
+    """Both writers decide which rows to leave out without building the
+    rows the unit laws force."""
+
+    def test_writers_build_no_unit_rows(self, monkeypatch):
+        cover, p = tc.edm_cover(tc.make_v4())
+        categories = [cover, next(relaxed_variants(cover)), *relaxed_variants(tc.make_Tn(2))]
+        written = [(dumps(cat), category_to_document(cat)) for cat in categories]
+        projection = dumps(p)
+
+        def refuse(*args):
+            raise AssertionError("a writer synthesized the unit rows")
+
+        monkeypatch.setattr(core, "_add_unit_rows", refuse)
+        assert dumps(p) == projection
+        for cat, (text, doc) in zip(categories, written):
+            assert dumps(cat) == text
+            assert category_to_document(cat) == doc
+
+
 class TestLooseIngest:
     """Identifiers are strings; anything else is malformed (exit 2)."""
 

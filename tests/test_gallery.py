@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import twocat as tc
 from twocat import core
 from twocat.gallery import TwoGraphPresentation, by_name
-from twocat.serialize import parse_document
+from twocat.serialize import dumps, parse_document
 
 from conftest import (
     brute_horizontal_triples,
@@ -274,6 +274,27 @@ class TestDescentCover:
             with pytest.raises(tc.LawViolation) as caught:
                 build(cat)
             assert (caught.value.law, caught.value.cells) == ("boundary", ("s", "t2"))
+
+    def test_each_call_shares_one_fresh_part_per_kind(self):
+        base = tc.make_T()
+        calls = tc.edm_summands(base), tc.edm_summands(base)
+        for kind in ("v", "h"):
+            first, second = ({id(part) for k, _, part, _ in call if k == kind} for call in calls)
+            assert len(first) == len(second) == 1
+            assert first != second
+
+    def test_a_mutated_part_changes_no_later_cover(self):
+        base = tc.make_T()
+
+        def written(summands):
+            return [(kind, triple, dumps(leg)) for kind, triple, _, leg in summands]
+
+        summands, cover = written(tc.edm_summands(base)), dumps(list(tc.edm_cover(base)))
+        for _, _, part, _ in tc.edm_summands(base):
+            for name in core._DICT_FIELDS:
+                getattr(part, name).clear()
+        assert written(tc.edm_summands(base)) == summands
+        assert dumps(list(tc.edm_cover(base))) == cover
 
     def test_pullbacks_along_the_cover_validate(self, t_family):
         base = t_family[1]
