@@ -9,13 +9,13 @@ not UTF-8 or JSON nested too deeply to parse), 3 search or budget cap
 exceeded.
 
 Each document is checked for well-formedness once, when it is parsed; the
-commands then read laws and functor equations from the private halves of
-the library's checks.  Only ``factor`` checks the functor's source, and
-``edm-cover`` its base, again: inside the public ``verify_factorization``
-and ``edm_summands``.
+commands then call the private halves of the library's checks, and
+``factor`` reads its legs' classes from their certificates.  The argument
+parser is built once per process.
 """
 
 import argparse
+import functools
 import sys
 
 from . import gallery
@@ -38,7 +38,7 @@ from .errors import (
     SearchCapExceeded,
     TwoCatError,
 )
-from .factorize import monotone_light_factor, reflective_factor, verify_factorization
+from .factorize import _factorization_violations, monotone_light_factor, reflective_factor
 from .limits import pullback
 from .reflection import reflect
 from .serialize import dumps, pairs, parse_document
@@ -134,7 +134,7 @@ def cmd_factor(args):
     fun = _load_functor(args.file)
     make = reflective_factor if args.system == "reflective" else monotone_light_factor
     fac = make(fun)
-    problems = verify_factorization(fun, fac)
+    problems = _factorization_violations(fun, fac, certified=True)  # source checked at parse
     doc = {
         "system": fac.system,
         "e": fac.e, "m": fac.m, "middle": fac.middle,
@@ -155,7 +155,7 @@ def cmd_pullback(args):
 
 def cmd_edm_cover(args):
     base = _load_category(args.file)
-    summands = gallery.edm_summands(base)
+    summands = gallery._edm_summands(base, _law_report(base))  # checked at parse
     cover, p = gallery.edm_cover(base, summands)
     doc = {
         "cover": cover, "p": p,
@@ -240,9 +240,11 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (SearchCapExceeded, BudgetExceeded) as exc:

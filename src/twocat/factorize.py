@@ -119,6 +119,14 @@ def verify_factorization(fun, fac):
     The middle object is checked for well-formedness once, by its law
     report, which covers the second factor's source.
     """
+    return _factorization_violations(fun, fac, certified=False)
+
+
+def _factorization_violations(fun, fac, certified):
+    """The violations of :func:`verify_factorization`.  A ``certified``
+    ``fac`` was built from ``fun``, whose source is well formed: that source
+    is not checked again, and the legs' classes are read from their
+    certificates."""
     bad = []
     if fac.e.source != fun.source:
         bad.append("first factor does not start at the source")
@@ -132,21 +140,26 @@ def verify_factorization(fun, fac):
     if not validate_two_category(fac.middle).all_pass:
         bad.append("the middle object is not a 2-category")
     for name, violations in (
-        ("first factor", validate_two_functor(fac.e)),
+        ("first factor", _preservation_violations(fac.e, *_graph_violations(fac.e))
+         if certified else validate_two_functor(fac.e)),
         # the second factor's source is the middle object, checked above
         ("second factor", _preservation_violations(fac.m, *_graph_violations(fac.m))),
     ):
         if violations:
             bad.append(f"{name} is not a 2-functor: {violations[0]}")
+
+    def holds(leg, name, predicate):
+        return getattr(fac.certificates[leg], name) if certified else predicate(getattr(fac, leg))
+
     if fac.system == "reflective":
-        if not is_vertical(fac.e):
+        if not holds("e", "vertical", is_vertical):
             bad.append("first factor is not inverted by the reflection")
-        if not is_trivial_covering(fac.m):
+        if not holds("m", "trivial_covering", is_trivial_covering):
             bad.append("second factor is not a trivial covering")
     elif fac.system == "monotone_light":
-        if not is_stably_vertical(fac.e):
+        if not holds("e", "stably_vertical", is_stably_vertical):
             bad.append("first factor is not stably vertical")
-        if not is_covering(fac.m):
+        if not holds("m", "covering", is_covering):
             bad.append("second factor is not a covering")
     else:
         bad.append(f"unknown factorization system tag {fac.system!r}")

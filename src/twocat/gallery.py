@@ -367,9 +367,13 @@ def edm_summands(base):
     raises :class:`BudgetExceeded` before any summand is built; the
     summands of a kind share one part.
     """
-    failures = validate_two_category(base).failures
-    if failures:
-        raise LawViolation(*next(iter(failures.items())))
+    return _edm_summands(base, validate_two_category(base))
+
+
+def _edm_summands(base, laws):
+    """The summands of :func:`edm_summands`, given the law report of ``base``."""
+    if laws.failures:
+        raise LawViolation(*next(iter(laws.failures.items())))
     kinds = []
     room = EDM_COVER_MAX_TWO_CELLS
     for (kind, presentation, ends), (part, *meta) in zip((

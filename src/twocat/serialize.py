@@ -29,80 +29,86 @@ def dumps(value):
     Keys must be strings.  2-categories and 2-functors are written straight
     from their carriers, without an intermediate document.  ``indent`` would
     make the standard library use its pure-Python encoder, at twice the time.
+    The text is written in chunks to one list, which is joined once.
     """
-    return _layout(value, "\n", {}) + "\n"
+    out = []
+    _write(value, "\n", out, {})
+    return "".join(out + ["\n"])
 
 
-def _layout(value, newline, memo):
-    """The JSON text of ``value``, its inner lines indented below ``newline``.
-
-    A 2-category is written at depth 0 once per call, into ``memo`` by
-    ``id``, and re-indented by a replace: encoded strings hold no raw
-    newline.
-    """
+def _write(value, newline, out, memo):
+    """Append the JSON text of ``value`` to ``out``, its inner lines indented
+    below ``newline``.  A 2-category is written at depth 0 once per call, into
+    ``memo`` by ``id``, and re-indented by a replace: encoded strings hold no
+    raw newline."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = newline + "  "
-    if isinstance(value, dict) and value:
-        body = ("," + inner).join([
-            f"{encode_basestring_ascii(k)}: {_layout(value[k], inner, memo)}"
-            for k in sorted(value)
-        ])
-        return f"{{{inner}{body}{newline}}}"
-    if isinstance(value, (list, tuple)) and value:
-        body = ("," + inner).join(
-            value if isinstance(value, _Rows) else [_layout(item, inner, memo) for item in value]
-        )
-        return f"[{inner}{body}{newline}]"
-    if isinstance(value, TwoCategory):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (dict, list, tuple)) and value:
+        keyed, inner = isinstance(value, dict), newline + "  "
+        opening = "{" if keyed else "["
+        for item in sorted(value) if keyed else value:
+            out.append(opening + inner + (encode_basestring_ascii(item) + ": " if keyed else ""))
+            _write(value[item] if keyed else item, inner, out, memo)
+            opening = ","
+        out.append(newline + ("}" if keyed else "]"))
+    elif isinstance(value, TwoCategory):
         if id(value) not in memo:
             memo[id(value)] = _category_text(value)
-        return memo[id(value)].replace("\n", newline)
-    if isinstance(value, TwoFunctor):
-        maps = {key: _pair_rows(pairs(getattr(value, key)), inner) for key in ("f0", "f1", "f2")}
-        return _layout(dict(maps, source=value.source, target=value.target), newline, memo)
-    return json.dumps(value)
+        out.append(memo[id(value)].replace("\n", newline))
+    elif isinstance(value, TwoFunctor):
+        inner = newline + "  "
+        maps = (f'{inner}"{key}": {_pair_array(pairs(getattr(value, key)), inner)}'
+                for key in ("f0", "f1", "f2"))
+        out.append("{" + ",".join(maps))
+        for key in ("source", "target"):
+            out.append(f',{inner}"{key}": ')
+            _write(getattr(value, key), inner, out, memo)
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value))
 
 
-class _Rows(list):
-    """The item texts of a JSON array, written already."""
+def _array(items, newline):
+    """The JSON array of the item texts ``items``, closed at ``newline``."""
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
 
 
-def _pair_rows(items, newline):
-    """The texts of ``[x, y]`` id pairs, as items of an array closed at ``newline``."""
+def _pair_array(items, newline):
+    """The JSON array of ``[x, y]`` id pairs, closed at ``newline``."""
     inner, end = newline + "    ", newline + "  "
-    return _Rows(
-        f"[{inner}{encode_basestring_ascii(x)},{inner}{encode_basestring_ascii(y)}{end}]"
-        for x, y in items
-    )
+    return _array([f"[{inner}{encode_basestring_ascii(x)},{inner}{encode_basestring_ascii(y)}{end}]"
+                   for x, y in items], newline)
 
 
 def _category_text(cat):
-    """The depth-0 text of ``category_to_document(cat)``, written row by row."""
+    """The depth-0 text of ``category_to_document(cat)``, written row by row:
+    each field's rows are formatted and joined before the next field's, so
+    the row texts of one table at a time are held."""
     q = {x: encode_basestring_ascii(x) for x in (*cat.objects, *cat.one_cells, *cat.two_cells)}
     field = "\n  "
-    one, vert, horiz = (
-        _Rows(f"[\n      {q[g]},\n      {q[f]},\n      {q[table[g, f]]}\n    ]" for g, f in keys)
-        for table, keys in _listed_rows(cat)
-    )
-    return _layout({
-        "compose1": one,
-        "hcompose": horiz,
-        "objects": _Rows(q[x] for x in sorted(cat.objects)),
-        "one_cells": _Rows(
+    one, vert, horiz = _listed_rows(cat)
+
+    def rows(table, keys):
+        return [f"[\n      {q[g]},\n      {q[f]},\n      {q[table[g, f]]}\n    ]" for g, f in keys]
+
+    def fields():
+        yield '"compose1": ' + _array(rows(*one), field)
+        yield '"hcompose": ' + _array(rows(*horiz), field)
+        yield '"objects": ' + _array([q[x] for x in sorted(cat.objects)], field)
+        yield '"one_cells": ' + _array([
             f'{{\n      "cod": {q[c]},\n      "dom": {q[d]},\n      "id": {q[u]}\n    }}'
-            for u, (d, c) in sorted(cat.one_cells.items())
-        ),
-        "one_identity": _pair_rows([(x, cat.one_identity[x]) for x in sorted(cat.objects)], field),
-        "two_cells": _Rows(
+            for u, (d, c) in sorted(cat.one_cells.items())], field)
+        yield '"one_identity": ' + _pair_array(
+            [(x, cat.one_identity[x]) for x in sorted(cat.objects)], field)
+        yield '"two_cells": ' + _array([
             f'{{\n      "id": {q[t]},\n      "vcod": {q[c]},\n      "vdom": {q[d]}\n    }}'
-            for t, (d, c) in sorted(cat.two_cells.items())
-        ),
-        "two_identity": _pair_rows(
-            [(h, cat.two_identity[h]) for h in sorted(cat.one_cells)], field
-        ),
-        "vcompose": vert,
-    }, "\n", None)
+            for t, (d, c) in sorted(cat.two_cells.items())], field)
+        yield '"two_identity": ' + _pair_array(
+            [(h, cat.two_identity[h]) for h in sorted(cat.one_cells)], field)
+        yield '"vcompose": ' + _array(rows(*vert), field)
+
+    return "{" + field + ("," + field).join(fields()) + "\n}"
 
 
 def pairs(mapping):

@@ -1104,6 +1104,39 @@ class TestDumpsWritesModelsAsTheirDocuments:
         doc = {"cat": fun.source, "more": [{"again": fun.source, "fun": fun}]}
         assert dumps(doc) == dumps(as_documents(doc))
 
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_one_category_at_each_depth(self, depth):
+        cat = tc.make_Tn(2)
+        for wrap in (lambda v: {"k": v}, lambda v: [v], lambda v: ["x", {"k": [v]}, 1]):
+            value = cat
+            for _ in range(depth):
+                value = wrap(value)
+            assert dumps(value) == standard_dumps(as_documents(value)), depth
+        value = [cat, [cat], {"a": [cat], "b": {"c": cat}}]
+        assert dumps(value) == standard_dumps(as_documents(value))
+
+    def test_a_functor_whose_ends_are_one_object(self, t_family):
+        swap = pick_functor(t_family[2], t_family[2], t1="t2", t2="t1")
+        for fun in (tc.identity_two_functor(tc.make_v4()), swap):
+            assert fun.source is fun.target
+            for value in (fun, [fun], {"f": fun, "g": [fun.source, fun]}):
+                assert dumps(value) == standard_dumps(as_documents(value))
+
+    def test_an_empty_category(self):
+        empty = tc.build_two_category(objects=[], one_cells={}, two_cells={})
+        fun = tc.identity_two_functor(empty)
+        for value in (empty, [empty], {"e": empty, "f": fun}, [[fun, empty]]):
+            assert dumps(value) == standard_dumps(as_documents(value))
+
+    def test_empty_containers_beside_models(self, t_family):
+        fun = pick_functor(t_family[2], t_family[1], t1="t1", t2="t1")
+        value = {
+            "a": {}, "b": [], "c": fun.source, "d": [[], fun, {}, ()],
+            "e": {"f": {}, "g": fun, "h": []}, "z": (),
+        }
+        assert dumps(value) == standard_dumps(as_documents(value))
+        assert dumps([{}, fun.target, []]) == standard_dumps(as_documents([{}, fun.target, []]))
+
     def test_ids_that_need_escaping(self):
         doc = category_to_document(tc.make_Tn(3))
         kinds = [doc["objects"]]
@@ -1223,17 +1256,10 @@ def _without_a_row(cat):
     return dataclasses.replace(cat, vert_compose=rows)
 
 
-#: The requests that hand their first parsed category to a public library
-#: check, which checks it again: ``verify_factorization`` the functor's
-#: source, ``edm_summands`` the base.
-RECHECKING = ("factor", "edm-cover")
-
-
 class TestEachValueIsCheckedOnce:
     """A request through ``cli.main`` checks every value it parses or builds
-    for well-formedness, and each once but for the one value that ``factor``
-    and ``edm-cover`` hand to a public check; the library entry points still
-    check what they are handed."""
+    for well-formedness, and each exactly once; the library entry points
+    still check what they are handed."""
 
     @pytest.mark.parametrize("command", CHECKED_REQUESTS, ids=" ".join)
     def test_requests_on_a_cover(self, cover_files, checks, capsys, command):
@@ -1242,8 +1268,7 @@ class TestEachValueIsCheckedOnce:
         capsys.readouterr()
         ids = [id(value) for value in checked]
         twice = [value for value in set(ids) if ids.count(value) > 1]
-        assert twice == ([id(made[0])] if command[0] in RECHECKING else []), command
-        assert ids.count(id(made[0])) <= 2, command
+        assert twice == [], command
         assert made and {id(value) for value in made} <= set(ids), command
 
     def test_library_entry_points_reject_malformed_ends(self):
@@ -1266,3 +1291,66 @@ class TestEachValueIsCheckedOnce:
         broken_source = dataclasses.replace(fac, e=dataclasses.replace(fac.e, source=bad))
         with pytest.raises(tc.MalformedData):
             tc.verify_factorization(dataclasses.replace(fun, source=bad), broken_source)
+
+
+FACTOR_SYSTEMS = {"reflective": tc.reflective_factor, "monotone-light": tc.monotone_light_factor}
+
+
+class TestFactorVerdictsDoNotMove:
+    """``factor`` reads its legs' classes from the certificates and checks
+    its source once, and prints the verdicts of ``verify_factorization``,
+    which recomputes both."""
+
+    def test_corpus_and_seeded_functors(self, workdir, capsys, corpus_functors, seeded_functors):
+        _, write = workdir
+        for n, fun in enumerate(corpus_functors + seeded_functors):
+            path = write(f"f{n}.json", fun)
+            for system, make in FACTOR_SYSTEMS.items():
+                code = main(["factor", f"--system={system}", path])
+                printed = json.loads(capsys.readouterr().out)["violations"]
+                expected = tc.verify_factorization(fun, make(fun))
+                assert printed == expected and code == (1 if expected else 0), (n, system)
+
+    def test_a_flipped_certificate_shows(self, workdir, capsys, monkeypatch, t_family):
+        _, write = workdir
+        factorize = importlib.import_module("twocat.factorize")
+        real = factorize.classify
+
+        def flipped(fun):
+            report = real(fun)
+            return dataclasses.replace(report, vertical=not report.vertical)
+
+        monkeypatch.setattr(factorize, "classify", flipped)
+        fun = tc.identity_two_functor(t_family[1])
+        assert main(["factor", "--system=reflective", write("id.json", fun)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["violations"] == ["first factor is not inverted by the reflection"]
+        assert payload["certificates"]["e"]["vertical"] is False
+        assert tc.verify_factorization(fun, tc.reflective_factor(fun)) == []
+
+
+class TestTheParserIsBuiltOnce:
+    """``cli.main`` parses every request with one parser per process."""
+
+    def test_two_requests_build_one_parser(self, capsys):
+        cli = importlib.import_module("twocat.cli")
+        assert cli._parser.__wrapped__ is cli.build_parser
+        cli._parser.cache_clear()
+        assert main(["gallery", "T"]) == main(["gallery", "T0"]) == 0
+        capsys.readouterr()
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_a_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["factor"])
+        assert caught.value.code == 2
+        capsys.readouterr()
+        assert main(["gallery", "T"]) == 0
+        ours = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=str(Path(tc.__file__).resolve().parents[1]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "twocat.cli", "gallery", "T"],
+            capture_output=True, env=env, timeout=60, check=True,
+        )
+        assert ours.encode() == fresh.stdout
