@@ -3,13 +3,14 @@
 Each predicate is a direct combinatorial test on the functor's carrier
 maps; the two oracles recompute trivial coverings and coverings from their
 defining pullback conditions so the pair can be cross-checked on every
-input.  Witnesses are the lexicographically least failing cells.  The
-hom-wise predicates visit only nonempty vertical homs.
+input.  Witnesses are the lexicographically least failing cells; a hom-wise
+predicate walks its homs in order for one only after an unordered pass fails.
 
 The two vertical predicates live in :mod:`.reflection`, whose probe checks
 use them; :func:`classify` reports them beside the three defined here.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import _bijectivity_witness, _chains, enumerate_two_functors
@@ -100,9 +101,17 @@ def _lifts(f2, below, source_ends, target_ends):
 
 
 def is_trivial_covering(fun, witness=None):
-    """Bijective on every nonempty vertical hom of the source."""
-    for (h, k), cells in sorted(fun.source._hom_index.items()):
-        if sorted(fun.f2[t] for t in cells) != fun.target._hom_index.get((fun.f1[h], fun.f1[k])):
+    """Bijective on every nonempty vertical hom of the source: injective on
+    each, into the target hom over it, and as large as that hom."""
+    src, tgt, get, f2 = fun.source, fun.target, fun.f1.get, fun.f2
+    if _injective_on_homs(fun) and all(
+        tgt.two_cells.get(f2[t]) == (get(h), get(k)) for t, (h, k) in src.two_cells.items()
+    ):
+        sizes = Counter(tgt.two_cells.values())
+        if all(sizes[get(h), get(k)] == n for (h, k), n in Counter(src.two_cells.values()).items()):
+            return True
+    for (h, k), cells in sorted(src._hom_index.items()):
+        if sorted(f2[t] for t in cells) != tgt._hom_index.get((fun.f1[h], fun.f1[k])):
             if witness is not None:
                 witness.append((h, k))
             return False
@@ -111,6 +120,8 @@ def is_trivial_covering(fun, witness=None):
 
 def is_covering(fun, witness=None):
     """Injective on every vertical hom of the source."""
+    if _injective_on_homs(fun):
+        return True
     for _pair, cells in sorted(fun.source._hom_index.items()):
         seen = {}
         for t in cells:
@@ -121,6 +132,13 @@ def is_covering(fun, witness=None):
                 return False
             seen[image] = t
     return True
+
+
+def _injective_on_homs(fun):
+    """Whether ``f2`` is defined on every source 2-cell and no two of them
+    share both boundary and image."""
+    f2, cells = fun.f2, fun.source.two_cells
+    return cells.keys() <= f2.keys() and len({(e, f2[t]) for t, e in cells.items()}) == len(cells)
 
 
 def trivial_covering_oracle(fun):

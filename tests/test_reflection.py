@@ -8,7 +8,7 @@ import time
 import pytest
 
 import twocat as tc
-from twocat import limits, reflection
+from twocat import core, limits, reflection
 from twocat.core import _bijectivity_witness, build_two_category
 from twocat.reflection import validate_graph_morphism
 from twocat.serialize import parse_document
@@ -565,11 +565,93 @@ class TestEachCategoryIsReflectedOnce:
         assert calls["fiber_product"] == []
         assert calls["find_isomorphism"] == []
 
+    def test_stable_units_of_one_object_passed_twice(self, calls, monkeypatch):
+        cat, _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
+        checked, real = [], reflection.check_well_formed
+        monkeypatch.setattr(reflection, "check_well_formed", lambda x: checked.append(x) or real(x))
+        assert tc.check_stable_units(cat, cat)
+        assert [args[0] for args in calls["reflect"]] == [cat]
+        assert checked == [cat]
+        assert calls["fiber_product"] == []
+
     @pytest.mark.parametrize("check", [tc.reflective_factor, tc.trivial_covering_oracle])
     def test_reflected_square(self, calls, t_family, check):
         fun = pick_functor(t_family[2], t_family[1], t1="t1", t2="t1")
         check(fun)
         assert reflections_of(fun.source, calls) == reflections_of(fun.target, calls) == 1
+
+
+@pytest.fixture()
+def witness_work(monkeypatch):
+    """The carriers whose vertical homs are indexed, once per index built,
+    the apexes of the pullbacks that :mod:`twocat.reflection` builds, and
+    the functors whose pulled-back homs are walked for a witness."""
+    work = {"indexed": [], "apexes": [], "walked": []}
+    cached = core._Carriers.__dict__["_hom_index"]
+
+    class Counting:
+        def __get__(self, cat, owner=None):
+            if cat is not None and "_hom_index" not in vars(cat):
+                work["indexed"].append(cat)
+            return cached.__get__(cat, owner)
+
+    monkeypatch.setattr(core._Carriers, "_hom_index", Counting())
+    real_pullback, real_walk = reflection.pullback, reflection._pulled_back_homs
+
+    def pullback(f, g):
+        square = real_pullback(f, g)
+        work["apexes"].append(square.apex)
+        return square
+
+    def walk(fun):
+        work["walked"].append(fun)
+        return real_walk(fun)
+
+    monkeypatch.setattr(reflection, "pullback", pullback)
+    monkeypatch.setattr(reflection, "_pulled_back_homs", walk)
+    return work
+
+
+class TestVerdictsBuildNoWitnessWork:
+    """The class predicates decide over the carriers: a passing verdict, or
+    one that fails below 2-cells, indexes no vertical hom and walks no
+    pulled-back hom.  Only :func:`twocat.reflect`, which groups its input
+    by boundary, and the probe search into a reflection index anything."""
+
+    def test_semi_left_exactness(self, witness_work):
+        v4 = tc.make_v4()
+        probes = probe_count(v4)  # indexes v4
+        indexed, apexes = witness_work["indexed"], witness_work["apexes"]
+        indexed.clear()
+        assert tc.check_semi_left_exact(v4)
+        assert len(apexes) == probes > 1
+        assert not any(apex is cat for apex in apexes for cat in indexed)
+        [reflected] = indexed  # searched for the probes
+        assert tc.is_two_preorder(reflected) and reflected.objects == v4.objects
+        assert witness_work["walked"] == []
+
+    def test_stable_units(self, witness_work):
+        cat, _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
+        other = tc.random_instance(3, 4, 16, 32)
+        indexed = witness_work["indexed"]
+        indexed.clear()
+        assert tc.check_stable_units(cat, other)
+        assert len(indexed) == 2 and indexed[0] is cat and indexed[1] is other  # by reflect
+        assert witness_work["walked"] == []
+
+    def test_classify_the_v4_cover_projection(self, witness_work):
+        _, p = tc.edm_cover(tc.make_v4())
+        witness_work["indexed"].clear()
+        report = tc.classify(p)
+        assert report.witnesses.keys() == {"vertical", "stably_vertical"}  # not onto objects
+        assert witness_work["indexed"] == [] and witness_work["walked"] == []
+
+    def test_a_failing_verdict_walks_once_for_the_least_witness(self, witness_work):
+        inclusion = locally_discrete_inclusion(tc.make_T())
+        found = []
+        assert not tc.is_vertical(inclusion, witness=found)
+        assert witness_work["walked"] == [inclusion]
+        assert found == [("h", "h'")]
 
 
 class TestScale:
