@@ -85,7 +85,7 @@ def _lifts(f2, below, source_ends, target_ends):
 
     over = {}  # image -> start -> the ends of the source cells there
     for cell, (start, end) in source_ends.items():
-        over.setdefault(f2.get(cell), {}).setdefault(start, set()).add(end)
+        over.setdefault(f2[cell], {}).setdefault(start, set()).add(end)
     reach = {}  # (b2, b1) -> the ends of the source pairs over it
 
     def lifts(triple):

@@ -418,14 +418,30 @@ def check_well_formed(cat):
     composable pairs; the algebraic laws are not checked here.  Distinct
     keys are exactly the composable pairs when each is a pair whose ends
     meet and they are as many as the pairs.  Only a table that fails this
-    count is compared with the pair set, for its least bad row.
+    count is compared with the pair set, for its least bad row.  Every row
+    of every table is tested: this is :func:`_check_rows` on the full tables.
+    """
+    _check_rows(cat, (cat.one_compose, cat.vert_compose, cat.horiz_compose))
+
+
+def _check_rows(cat, listed):
+    """The checks of :func:`check_well_formed`, testing one by one only the
+    rows of ``listed``, a dict per table (compose1, vcompose, hcompose).
+
+    Each table's size is still compared with the count of all its
+    composable pairs.  A row outside ``listed`` must be known to compose
+    and to land on a cell, as every unit row :func:`build_two_category`
+    adds does, so a reader passes the rows its document lists.  A table
+    that fails the count or a tested row is compared in full with the pair
+    set, so each message is that of the full check.
     """
     _check_carriers(cat)
     # each table's cells with their ends; a table's values must be among them
-    for table, ends, name in (
-        (cat.one_compose, cat.one_cells, "compose1"),
-        (cat.vert_compose, cat.two_cells, "vcompose"),
-        (cat.horiz_compose, cat.horiz_ends(), "hcompose"),
+    for table, rows, ends, name in zip(
+        (cat.one_compose, cat.vert_compose, cat.horiz_compose),
+        listed,
+        (cat.one_cells, cat.two_cells, cat.horiz_ends()),
+        ("compose1", "vcompose", "hcompose"),
     ):
         try:
             starts = {}  # cells per meeting point, counted by where they start
@@ -433,9 +449,9 @@ def check_well_formed(cat):
                 starts[x] = starts.get(x, 0) + 1
             counted = (
                 len(table) == sum(map(starts.get, map(itemgetter(1), ends.values()), repeat(0)))
-                and set(map(type, table)) <= {tuple}
-                and all(ends[g][0] == ends[f][1] for g, f in table)
-                and ends.keys() >= set(table.values())
+                and set(map(type, rows)) <= {tuple}
+                and all(ends[g][0] == ends[f][1] for g, f in rows)
+                and ends.keys() >= set(rows.values())
             )
         except (KeyError, TypeError, ValueError):
             counted = False

@@ -47,24 +47,52 @@ def _enumerate_paths(presentation):
     """Every generator path, keyed ``(start, gens)``, mapped to its end.
 
     Paths are listed depth first, from each object and along generators in
-    identifier order, on a stack of their own.  A path that would come back
-    to one of its objects raises :class:`CyclicPresentation`.
+    identifier order, on a stack of their own.  A cycle is looked for first,
+    by :func:`_check_acyclic`, before any path is listed.
     """
     gens = presentation.generators
     by_dom = _group(gens, lambda gen: gens[gen][0])
+    _check_acyclic(presentation.objects, gens, by_dom)
 
     ends = {}
     for start in sorted(presentation.objects):
-        stack = [((), start, frozenset((start,)))]
+        stack = [((), start)]
         while stack:
-            path, at, on_path = stack.pop()
+            path, at = stack.pop()
             ends[start, path] = at
-            for gen in reversed(by_dom.get(at, ())):
-                end = gens[gen][1]
-                if end in on_path:
-                    raise CyclicPresentation(f"directed cycle through object {at!r}")
-                stack.append((path + (gen,), end, on_path | {end}))
+            stack.extend((path + (gen,), gens[gen][1]) for gen in reversed(by_dom.get(at, ())))
     return ends
+
+
+def _check_acyclic(objects, gens, by_dom):
+    """Raise :class:`CyclicPresentation` if a generator path comes back to
+    one of its objects, naming the object the path walk of
+    :func:`_enumerate_paths` would meet first with a generator back onto its
+    path.  One depth-first walk over objects in the path walk's order, each
+    entered once: an object left without a cycle reaches none, and no path
+    through it can close one.  O(objects + generators)."""
+    done, on_path, walks = set(), set(), []
+
+    def enter(at):
+        targets = [gens[gen][1] for gen in by_dom.get(at, ())]
+        on_path.add(at)
+        if not on_path.isdisjoint(targets):
+            raise CyclicPresentation(f"directed cycle through object {at!r}")
+        walks.append((at, iter(targets)))
+
+    for start in sorted(objects):
+        if start not in done:
+            enter(start)
+        while walks:
+            at, targets = walks[-1]
+            for end in targets:
+                if end not in done:
+                    enter(end)
+                    break
+            else:
+                walks.pop()
+                on_path.remove(at)
+                done.add(at)
 
 
 def _free_two_preorder_with_meta(presentation):

@@ -252,10 +252,10 @@ def check_stable_units(cat, other):
     :func:`is_stably_vertical` decides that as bijective below 2-cells and
     onto every vertical hom.  Each input object, even if passed twice, is
     checked for well-formedness and reflected once before either verdict,
-    so a law-breaking second input still raises.
+    so a law-breaking second input still raises, and each unit is asked once.
     """
-    for x in (cat,) if other is cat else (cat, other):
+    inputs = (cat,) if other is cat else (cat, other)
+    for x in inputs:
         check_well_formed(x)
-    unit_c = reflect(cat).unit
-    unit_d = unit_c if other is cat else reflect(other).unit
-    return is_stably_vertical(unit_c) and is_stably_vertical(unit_d)
+    units = [reflect(x).unit for x in inputs]
+    return all(map(is_stably_vertical, units))

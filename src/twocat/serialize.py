@@ -19,7 +19,7 @@ the carriers, without building the intermediate document.
 import json
 from json.encoder import encode_basestring_ascii
 
-from .core import TwoCategory, TwoFunctor, _listed_rows, build_two_category, check_well_formed
+from .core import TwoCategory, TwoFunctor, _check_rows, _listed_rows, build_two_category
 from .errors import MalformedData
 
 
@@ -148,22 +148,22 @@ def _listed(doc, key):
     return rows
 
 
-def _cells(doc, key, first, second):
+def _cells(doc, key, first, second, names):
     # no _expect in the row loops: a message formatted per row costs more than the parse
-    out = {}
+    out, need = {}, {"id", first, second}
     for row in _listed(doc, key):
-        if not (isinstance(row, dict) and {"id", first, second} <= row.keys()):
+        if not (isinstance(row, dict) and need <= row.keys()):
             raise MalformedData(f"{key} entries need id/{first}/{second}")
         cell, low, high = row["id"], row[first], row[second]
         if not (isinstance(cell, str) and isinstance(low, str) and isinstance(high, str)):
             raise MalformedData(f"{key} ids and boundaries are strings")
         if cell in out:
             raise MalformedData(f"duplicate {key} id {cell!r}")
-        out[cell] = (low, high)
+        out[names(cell, cell)] = (names(low, low), names(high, high))
     return out
 
 
-def _rows(doc, key):
+def _rows(doc, key, names):
     out = {}
     for row in _listed(doc, key):
         if not (isinstance(row, list) and len(row) == 3):
@@ -171,12 +171,12 @@ def _rows(doc, key):
         g, f, v = row
         if not (isinstance(g, str) and isinstance(f, str) and isinstance(v, str)):
             raise MalformedData(f"{key} entries are strings")
-        if out.setdefault((g, f), v) != v:
+        if out.setdefault((names(g, g), names(f, f)), names(v, v)) != v:
             raise MalformedData(f"conflicting {key} rows for ({g!r}, {f!r})")
     return out
 
 
-def _pairs(doc, key):
+def _pairs(doc, key, names):
     out = {}
     for row in _listed(doc, key):
         if not (isinstance(row, list) and len(row) == 2):
@@ -184,31 +184,39 @@ def _pairs(doc, key):
         src, dst = row
         if not (isinstance(src, str) and isinstance(dst, str)):
             raise MalformedData(f"{key} entries are strings")
-        if out.setdefault(src, dst) != dst:
+        if out.setdefault(names(src, src), names(dst, dst)) != dst:
             raise MalformedData(f"conflicting {key} entry {src!r}")
     return out
 
 
 def document_to_category(doc):
     """Parse and complete a 2-category document; the result is well formed."""
+    return _category(doc, {}.setdefault)
+
+
+def _category(doc, names):
+    """:func:`document_to_category`, reading each id through ``names``, the
+    ``setdefault`` of a memo kept for one document: every occurrence of an
+    id is then one string object.  Only the rows the document lists are
+    tested one by one; the unit rows the build adds compose by construction."""
     _expect(isinstance(doc, dict), "a 2-category document is a JSON object")
     objects = doc.get("objects")
     _expect(isinstance(objects, list) and all(isinstance(x, str) for x in objects),
             "the objects field must be a list of strings")
     try:
         cat = build_two_category(
-            objects=objects,
-            one_cells=_cells(doc, "one_cells", "dom", "cod"),
-            two_cells=_cells(doc, "two_cells", "vdom", "vcod"),
-            one_identity=_pairs(doc, "one_identity") or None,
-            one_compose=_rows(doc, "compose1"),
-            two_identity=_pairs(doc, "two_identity") or None,
-            vert_compose=_rows(doc, "vcompose"),
-            horiz_compose=_rows(doc, "hcompose"),
+            objects=[names(x, x) for x in objects],
+            one_cells=_cells(doc, "one_cells", "dom", "cod", names),
+            two_cells=_cells(doc, "two_cells", "vdom", "vcod", names),
+            one_identity=_pairs(doc, "one_identity", names) or None,
+            one_compose=(one := _rows(doc, "compose1", names)),
+            two_identity=_pairs(doc, "two_identity", names) or None,
+            vert_compose=(vert := _rows(doc, "vcompose", names)),
+            horiz_compose=(horiz := _rows(doc, "hcompose", names)),
         )
     except (TypeError, KeyError) as exc:
         raise MalformedData(f"bad 2-category document: {exc}") from exc
-    check_well_formed(cat)
+    _check_rows(cat, (one, vert, horiz))
     return cat
 
 
@@ -226,10 +234,11 @@ def document_to_functor(doc):
     _expect(isinstance(doc, dict), "a functor document is a JSON object")
     for key in ("source", "target", "f0", "f1", "f2"):
         _expect(key in doc, f"missing the {key} field")
-    source = document_to_category(doc["source"])
-    target = document_to_category(doc["target"])
+    names = {}.setdefault  # one string per id, shared by both ends and the maps
+    source = _category(doc["source"], names)
+    target = _category(doc["target"], names)
     # entries for synthesized identities need not be spelled out in the maps
-    f0, f1, f2 = (_pairs(doc, key) for key in ("f0", "f1", "f2"))
+    f0, f1, f2 = (_pairs(doc, key, names) for key in ("f0", "f1", "f2"))
     for x in source.objects:
         if x in f0 and f0[x] in target.one_identity:
             f1.setdefault(source.one_identity[x], target.one_identity[f0[x]])

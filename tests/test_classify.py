@@ -345,14 +345,11 @@ class TestAgainstTheReference:
         self, name, differential_functors, partial_maps, reference
     ):
         """Also on maps that lack an entry or leave the target, where the
-        reference may raise instead.  ``is_edm`` reads ``f2`` through
-        ``get`` and gives a verdict where the reference raises on a dropped
-        ``f2`` entry, so that edit is left out for it."""
+        reference may raise instead, and then the same exception type."""
         failures = pinned_failures(name, differential_functors, reference)
         assert failures > 100  # the witness paths are exercised
-        for edit, functors in partial_maps.items():
-            if (name, edit) != ("is_edm", "f2 dropped"):
-                pinned_failures(name, functors, reference)
+        for functors in partial_maps.values():
+            pinned_failures(name, functors, reference)
 
     def test_edm_on_graph_maps_and_a_cover_that_misses_triples(self, reference):
         """``is_edm`` decides a level by its lemma when the map below is

@@ -1050,6 +1050,104 @@ class TestDocumentsMatchTheReference:
         )
 
 
+def ids_of(value):
+    """Every id occurrence in a 2-category or 2-functor: carriers, boundaries,
+    identities, table keys and values and, for a functor, its ends and maps."""
+    if isinstance(value, tc.TwoFunctor):
+        maps = [x for m in (value.f0, value.f1, value.f2) for x in itertools.chain(*m.items())]
+        return ids_of(value.source) + ids_of(value.target) + maps
+    out = list(value.objects)
+    for cells in (value.one_cells, value.two_cells):
+        out += [x for cell, ends in cells.items() for x in (cell, *ends)]
+    for identity in (value.one_identity, value.two_identity):
+        out += itertools.chain(*identity.items())
+    for table in (value.one_compose, value.vert_compose, value.horiz_compose):
+        out += [x for key, v in table.items() for x in (*key, v)]
+    return out
+
+
+def non_composable(cat, key):
+    """The least pair of cells that does not compose in the table of ``key``."""
+    ends = {"compose1": cat.one_cells, "vcompose": cat.two_cells, "hcompose": cat.horiz_ends()}[key]
+    return next((g, f) for f in sorted(ends) for g in sorted(ends) if ends[g][0] != ends[f][1])
+
+
+#: The carrier a table's values lie in, by document field.
+TABLE_CELLS = {"compose1": "one_cells", "vcompose": "two_cells", "hcompose": "two_cells"}
+
+
+def mutated_documents(cat):
+    """The document of ``cat`` with one fault per kind a reader must catch
+    or pass over as the reference does, by name: a listed row dropped or
+    moved onto a pair that does not compose (the count of rows kept), a row
+    appended that does not compose, a row onto an unknown cell, an identity
+    that is not a loop, a forced unit row listed with another value, and
+    two rows on one pair that disagree."""
+    out = {}
+
+    def edit(name, field, change):
+        doc = category_to_document(cat)
+        change(doc[field])
+        out[name] = doc
+
+    for key in ("compose1", "vcompose", "hcompose"):
+        listed = category_to_document(cat)[key]
+        cells = sorted(getattr(cat, TABLE_CELLS[key]))
+        g, f = non_composable(cat, key)
+        edit(f"{key} row appended", key, lambda rows: rows.append([g, f, g]))
+        if listed:
+            a, b, v = listed[0]
+            other = next(c for c in cells if c != v)
+            edit(f"{key} row dropped", key, lambda rows: rows.pop(0))
+            edit(f"{key} row moved", key, lambda rows: rows.__setitem__(0, [g, f, v]))
+            edit(f"{key} row unknown", key, lambda rows: rows.__setitem__(0, [a, b, "?"]))
+            edit(f"{key} rows conflict", key, lambda rows: rows.append([a, b, other]))
+        unit = next((row for row in full_document(cat)[key] if row not in listed), None)
+        if unit is not None:
+            a, b, v = unit
+            other = next(c for c in cells if c != v)
+            edit(f"{key} unit row overridden", key, lambda rows: rows.append([a, b, other]))
+    for key, cells in (("one_identity", cat.one_cells), ("two_identity", cat.two_cells)):
+        loopless = next(((u, d) for u, (d, c) in sorted(cells.items()) if d != c), None)
+        if loopless is not None:
+            u, d = loopless
+            edit(f"{key} not a loop", key,
+                 lambda pairs: pairs.__setitem__([x for x, _ in pairs].index(d), [d, u]))
+    return out
+
+
+class TestIdsAreReadOnce:
+    """A reader holds one string object per id of a document, and tests
+    only the rows the document lists, with the reference's outcomes."""
+
+    def test_each_id_is_one_object(self):
+        cats, functors = constructions()
+        for name, value in {**cats, **functors}.items():
+            ids = ids_of(parse_document(dumps(value)))
+            assert len({id(x) for x in ids}) == len(set(ids)), name
+
+    @pytest.mark.parametrize("name", ["T3", "v4", "h4", "h4na", "vh4", "random3", "product"])
+    def test_mutated_documents(self, name, reference_serialize, monkeypatch):
+        """The outcome is the reference's and that of testing every row of
+        the built tables.  An identity that is not a loop gets no unit rows
+        on the side it cannot compose, where the reference adds rows that
+        do not compose, so there the reference's error only names another
+        row."""
+        outcomes = set()
+        for fault, doc in mutated_documents(document_corpus()[name]).items():
+            ours = parsed(serialize, doc)
+            with monkeypatch.context() as patch:
+                patch.setattr(serialize, "_check_rows", lambda cat, listed: core.check_well_formed(cat))
+                assert ours == parsed(serialize, doc), (name, fault)
+            theirs = parsed(reference_serialize, doc)
+            if fault.endswith("not a loop"):
+                assert (ours[0], theirs[0]) == ("MalformedData", "MalformedData"), (name, fault)
+            else:
+                assert ours == theirs, (name, fault)
+            outcomes.add(ours[0] if isinstance(ours, tuple) else "parsed")
+        assert outcomes == {"MalformedData", "parsed"}
+
+
 #: Ids whose order differs from the order of their JSON escapes.
 AWKWARD_IDS = ('"x', "Ax", "\\", "é", "⇒", "𝔸", "\n", "\x7f")
 
@@ -1219,19 +1317,20 @@ CHECKED_REQUESTS = (
 
 @pytest.fixture()
 def checks(monkeypatch):
-    """Each value ``check_well_formed`` is called on, once per call, and
-    each value a request parses or builds for checking: the categories of
-    its documents, the middle object of a factorization, a pullback apex."""
+    """Each value the row check of ``core`` is called on, once per call,
+    and each value a request parses or builds for checking: the categories
+    of its documents, the middle object of a factorization, a pullback apex.
+    ``check_well_formed`` and the readers both call that row check."""
     checked, made = [], []
-    real = core.check_well_formed
+    real = core._check_rows
 
-    def counting(cat):
+    def counting(cat, listed):
         checked.append(cat)
-        return real(cat)
+        return real(cat, listed)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("twocat.") and getattr(module, "check_well_formed", None) is real:
-            monkeypatch.setattr(module, "check_well_formed", counting)
+        if name.startswith("twocat.") and getattr(module, "_check_rows", None) is real:
+            monkeypatch.setattr(module, "_check_rows", counting)
 
     def recording(make, part):
         def wrapper(*args):
@@ -1241,8 +1340,7 @@ def checks(monkeypatch):
         return wrapper
 
     cli = importlib.import_module("twocat.cli")
-    monkeypatch.setattr(serialize, "document_to_category",
-                        recording(serialize.document_to_category, lambda cat: cat))
+    monkeypatch.setattr(serialize, "_category", recording(serialize._category, lambda cat: cat))
     monkeypatch.setattr(cli, "pullback", recording(cli.pullback, lambda result: result.apex))
     for name in ("reflective_factor", "monotone_light_factor"):
         monkeypatch.setattr(cli, name, recording(getattr(cli, name), lambda fac: fac.middle))

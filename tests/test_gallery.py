@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -349,6 +350,64 @@ class TestPathWalkMatchesTheReference:
         acyclic = dataclasses.replace(presentation, generators={"f": ("x", "y"), "u": ("x", "?")})
         with pytest.raises(tc.MalformedData, match="'u' has unknown endpoints"):
             tc.free_two_preorder(acyclic)
+
+    def test_the_cycle_named_is_the_one_the_path_walk_meets_first(self):
+        """On small random presentations, some with generators leaving the
+        objects, the linear cycle check names the object the full path walk
+        names, and an acyclic presentation lists the same paths."""
+        rng = random.Random(0)
+        outcomes = set()
+        for _ in range(2000):
+            nodes = "abcde"[: rng.randint(1, 5)]
+            objects = tuple(rng.sample(nodes, rng.randint(1, len(nodes))))
+            generators = {
+                f"g{k}": (rng.choice(nodes), rng.choice(nodes)) for k in range(rng.randint(0, 6))
+            }
+            presentation = TwoGraphPresentation(objects, generators, ())
+            try:
+                ours = tc.gallery._enumerate_paths(presentation)
+            except tc.CyclicPresentation as exc:
+                ours = str(exc)
+            assert ours == walked_paths(presentation), presentation
+            outcomes.add(type(ours))
+        assert outcomes == {str, dict}
+
+    def test_a_cycle_after_a_million_paths(self):
+        """The cycle comes after the 2^21 - 1 paths through twenty diamonds
+        of parallel generators, and is reported before any is listed."""
+        generators = {
+            f"a{i:02}{side}": (f"x{i:02}", f"x{i + 1:02}") for i in range(20) for side in "lr"
+        }
+        generators.update(b=("x00", "y"), c=("y", "z"), d=("z", "y"))
+        presentation = TwoGraphPresentation(
+            objects=tuple(sorted({end for ends in generators.values() for end in ends})),
+            generators=generators,
+            relations=(),
+        )
+        with pytest.raises(tc.CyclicPresentation, match="through object 'z'"):
+            tc.free_two_preorder(presentation)
+
+
+def walked_paths(presentation):
+    """The path walk with the cycle test inline, as the definition of the
+    object a cycle is reported through: every path from each object, depth
+    first along generators in identifier order, keyed ``(start, gens)`` and
+    mapped to its end; or the message of the cycle it meets first, through
+    the object a generator leaves to come back onto its path.  Exponential
+    in the presentation, so for small ones only."""
+    gens = presentation.generators
+    ends = {}
+    for start in sorted(presentation.objects):
+        stack = [((), start, frozenset((start,)))]
+        while stack:
+            path, at, on_path = stack.pop()
+            ends[start, path] = at
+            for gen in sorted(gens, reverse=True):
+                if gens[gen][0] == at:
+                    if gens[gen][1] in on_path:
+                        return f"directed cycle through object {at!r}"
+                    stack.append((path + (gen,), gens[gen][1], on_path | {gens[gen][1]}))
+    return ends
 
 
 class TestCoversMatchTheReference:

@@ -569,9 +569,12 @@ class TestEachCategoryIsReflectedOnce:
         cat, _ = tc.coproduct([tc.make_Tn(2), tc.make_T()])
         checked, real = [], reflection.check_well_formed
         monkeypatch.setattr(reflection, "check_well_formed", lambda x: checked.append(x) or real(x))
+        asked, vertical = [], reflection.is_stably_vertical
+        monkeypatch.setattr(reflection, "is_stably_vertical", lambda u: asked.append(u) or vertical(u))
         assert tc.check_stable_units(cat, cat)
         assert [args[0] for args in calls["reflect"]] == [cat]
         assert checked == [cat]
+        assert [unit.source for unit in asked] == [cat]
         assert calls["fiber_product"] == []
 
     @pytest.mark.parametrize("check", [tc.reflective_factor, tc.trivial_covering_oracle])
