@@ -13,9 +13,9 @@ use them; :func:`classify` reports them beside the three defined here.
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import _bijectivity_witness, _chains, enumerate_two_functors
-from .limits import graph_pullback, make_T
-from .reflection import _reflected_square, is_stably_vertical, is_two_preorder, is_vertical
+from .core import _chains, enumerate_two_functors
+from .limits import _cone, _pair_apex, make_T
+from .reflection import _induced_functor, is_stably_vertical, is_vertical, reflect
 
 
 @dataclass(frozen=True)
@@ -144,18 +144,18 @@ def _injective_on_homs(fun):
 def trivial_covering_oracle(fun):
     """Pullback-square recomputation of the trivial-covering predicate.
 
-    Builds the fiber product of the target's reflection unit with the
+    Takes the fiber pairs of the target's reflection unit with the
     reflected functor and asks whether the canonical comparison from the
-    source is a levelwise bijection.
+    source, ``x -> (f x, unit x)``, is a levelwise bijection onto them.
+    Each end is reflected once, the target first.  A cone pair outside the
+    fiber raises :class:`MismatchedTarget` before any level is counted.
+    No apex cell is named and no table is joined.
     """
-    square, comparison = _reflected_square(fun)
+    tgt, src = reflect(fun.target), reflect(fun.source)
+    _, pairs = _pair_apex(tgt.unit, _induced_functor(fun, src, tgt))  # carriers: fiber check only
     return all(
-        _bijectivity_witness(mapping, codomain) is None
-        for mapping, codomain in (
-            (comparison.f0, square.apex.objects),
-            (comparison.f1, square.apex.one_cells),
-            (comparison.f2, square.apex.two_cells),
-        )
+        len(set(comparison.values())) == len(comparison) == len(level)
+        for comparison, level in zip(_cone(pairs, fun, src.unit), pairs)
     )
 
 
@@ -164,16 +164,17 @@ def covering_oracle(fun):
 
     Pulls ``fun`` back along every functor from the two-object
     single-2-cell probe into its target and asks that each fiber product
-    is a 2-preorder.  ``fun`` is the second leg, indexed once for all
-    probes.
+    is a 2-preorder: no two of its 2-cells share their boundary pair.
+    ``fun`` is the second leg, indexed once for all probes.
 
-    Fiber products are built by :func:`graph_pullback`, without tables.
-    Each probe is a 2-functor by enumeration, so for a 2-functor ``fun``
-    the join of the tables could not fail, and the verdict reads carriers
+    Only the apex carriers are built, each cell named by its pair.  Each
+    probe is a 2-functor by enumeration, so for a 2-functor ``fun`` the
+    join of the tables could not fail, and the verdict reads carriers
     only, as the covering predicate does.
     """
     for phi in enumerate_two_functors(make_T(), fun.target):
-        if not is_two_preorder(graph_pullback(phi, fun)[0]):
+        cells = _pair_apex(phi, fun)[0]["two_cells"]
+        if len(set(cells.values())) < len(cells):
             return False
     return True
 

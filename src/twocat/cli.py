@@ -70,7 +70,7 @@ def _load_functor(path):
     value = parse_document(_read(path))
     if not isinstance(value, TwoFunctor):
         raise MalformedData(f"{path!r} does not hold a 2-functor document")
-    bad = _preservation_violations(value, *_graph_violations(value))  # ends checked at parse
+    bad = _preservation_violations(value, *_graph_violations(value, ()))  # ends checked at parse
     if bad:
         raise MalformedData(f"not a 2-functor: {bad[0]}")
     return value

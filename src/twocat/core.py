@@ -275,11 +275,16 @@ def build_two_category(
         (objects, one_cells, one_identity, "id:"),
         (one_cells, two_cells, two_identity, "vid:"),
     ):
+        keys = None  # the key object of each cell, built at the first adoption
         for x in sorted(below):
-            name = identity.get(x, f"{prefix}{x}")
+            listed = x in identity
+            name = identity[x] if listed else f"{prefix}{x}"
             if name in cells:
-                if x not in identity and cells[name] != (x, x):
-                    raise MalformedData(f"cell {name!r} is reserved for the identity of {x!r}")
+                if not listed:
+                    if cells[name] != (x, x):
+                        raise MalformedData(f"cell {name!r} is reserved for the identity of {x!r}")
+                    keys = keys or {cell: cell for cell in cells}
+                    name = keys.get(name, name)
             else:
                 cells[name] = (x, x)
             identity[x] = name
@@ -688,13 +693,16 @@ def _preservation_violations(fun, ones, twos):
     return ones + twos
 
 
-def _graph_violations(fun):
+def _graph_violations(fun, ends=None):
     """The boundary and identity equations ``fun`` breaks, one list per level.
 
     ``fun`` may also run between reflexive 2-graphs.  A map that is not
     total, or that sends a cell outside the target, raises
     :class:`MalformedData`, and so do ends whose boundaries or identities
-    name no cell.
+    name no cell.  The carriers of ``ends``, by default both ends, are
+    checked for that; a caller passes only the ends no check has passed.
+    Violations are collected unsorted and sorted by cell, so each level
+    lists them in identifier order.
     """
     src, tgt = fun.source, fun.target
     for name, mapping, domain, codomain in (
@@ -709,8 +717,8 @@ def _graph_violations(fun):
             if value not in codomain:
                 raise MalformedData(f"{name}[{key!r}] = {value!r} is not in the target")
 
-    _check_carriers(src)
-    _check_carriers(tgt)
+    for end in (src, tgt) if ends is None else ends:
+        _check_carriers(end)
     levels = []
     for kind, dom, cod, below_kind, m, below, cells, images, identity, image_identity in (
         ("1-cell", "dom", "cod", "object", fun.f1, fun.f0,
@@ -718,17 +726,18 @@ def _graph_violations(fun):
         ("2-cell", "vdom", "vcod", "1-cell", fun.f2, fun.f1,
          src.two_cells, tgt.two_cells, src.two_identity, tgt.two_identity),
     ):
-        bad = []
-        for u in sorted(cells):
-            (d, c), (image_d, image_c) = cells[u], images[m[u]]
+        moved = []  # (cell, 0 for its start or 1 for its end, that end's name)
+        for u, (d, c) in cells.items():
+            image_d, image_c = images[m[u]]
             if image_d != below[d]:
-                bad.append(f"{dom} not preserved at {kind} {u!r}")
+                moved.append((u, 0, dom))
             if image_c != below[c]:
-                bad.append(f"{cod} not preserved at {kind} {u!r}")
-        for x in sorted(below):
-            if m[identity[x]] != image_identity[below[x]]:
-                bad.append(f"identity {kind} not preserved at {below_kind} {x!r}")
-        levels.append(bad)
+                moved.append((u, 1, cod))
+        lost = [x for x, e in identity.items() if m[e] != image_identity[below[x]]]
+        levels.append(
+            [f"{end} not preserved at {kind} {u!r}" for u, _, end in sorted(moved)]
+            + [f"identity {kind} not preserved at {below_kind} {x!r}" for x in sorted(lost)]
+        )
     return levels
 
 

@@ -124,9 +124,10 @@ def verify_factorization(fun, fac):
 
 def _factorization_violations(fun, fac, certified):
     """The violations of :func:`verify_factorization`.  A ``certified``
-    ``fac`` was built from ``fun``, whose source is well formed: that source
-    is not checked again, and the legs' classes are read from their
-    certificates."""
+    ``fac`` was built from ``fun``, whose ends are well formed: they are
+    not checked again, and the legs' classes are read from their
+    certificates.  The middle object's carriers are checked once, by its
+    law report."""
     bad = []
     if fac.e.source != fun.source:
         bad.append("first factor does not start at the source")
@@ -140,10 +141,11 @@ def _factorization_violations(fun, fac, certified):
     if not validate_two_category(fac.middle).all_pass:
         bad.append("the middle object is not a 2-category")
     for name, violations in (
-        ("first factor", _preservation_violations(fac.e, *_graph_violations(fac.e))
+        ("first factor", _preservation_violations(fac.e, *_graph_violations(fac.e, ()))
          if certified else validate_two_functor(fac.e)),
         # the second factor's source is the middle object, checked above
-        ("second factor", _preservation_violations(fac.m, *_graph_violations(fac.m))),
+        ("second factor", _preservation_violations(
+            fac.m, *_graph_violations(fac.m, () if certified else (fac.m.target,)))),
     ):
         if violations:
             bad.append(f"{name} is not a 2-functor: {violations[0]}")

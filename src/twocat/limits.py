@@ -1,11 +1,14 @@
 """Pointwise finite limits: pullbacks, binary products, the terminal object,
 and the probe family ``T_n`` that the reflection's checks pull back along.
 
-Apex cells are canonical pair encodings ``(x|y)`` of the input identifiers
-(escaped where plain names would collide, see :func:`encoder`),
-so results are deterministic and counterexamples stay readable.  The same
-componentwise construction serves both law-abiding inputs and relaxed
-structures; only the expectations on the result differ.
+Every fiber product starts from the apex pairs of :func:`fiber_product`.
+:func:`pullback` and :func:`graph_pullback` name each apex cell by the
+canonical pair encoding ``(x|y)`` of the input identifiers (escaped where
+plain names would collide, see :func:`encoder`), so results are
+deterministic and counterexamples stay readable; callers that only count
+or compare apex cells keep them as pairs.  The same componentwise
+construction serves both law-abiding inputs and relaxed structures; only
+the expectations on the result differ.
 """
 
 import re
@@ -64,24 +67,36 @@ def encoder(levels, arity=2):
 
 
 def fiber_product(f, g):
-    """Carrier-level fiber product of the carrier maps of ``f`` and ``g``.
+    """The apex pairs of the fiber product of the carrier maps of ``f`` and ``g``.
 
-    The sources are 2-reflexive graphs or 2-categories.  Returns the apex
-    carriers as keyword arguments of :class:`TwoReflexiveGraph` and, per
-    level, the apex cell over each pair ``(x, y)``, in identifier order of
-    ``x``, then ``y``.  The cells of ``f`` are walked and matched in the
-    cached index by image of ``g``, so a second leg that is pulled back
-    against many partners is indexed once.  Legs that break boundaries
-    can put the boundary or identity pair of an apex cell outside the
-    fiber; then :class:`MalformedData` names the least such cell.
+    The sources are 2-reflexive graphs or 2-categories.  Returns, per
+    level, the pairs ``(x, y)`` of cells that ``f`` and ``g`` send to one
+    cell, in identifier order of ``x``, then ``y``.  The cells of ``f`` are
+    walked and matched in the cached index by image of ``g``, so a second
+    leg that is pulled back against many partners is indexed once.
     """
-    a, c = f.source, g.source
-    levels = [
+    a = f.source
+    return [
         [(x, y) for x in sorted(xs) for y in index.get(m[x], ())]
         for xs, m, index in zip((a.objects, a.one_cells, a.two_cells), (f.f0, f.f1, f.f2),
                                 g._by_image)
     ]
-    names = [{pair: n for n, pair in level.items()} for level in encoder(levels)]
+
+
+def _named(levels):
+    """Per level, the :func:`encoder` name of each pair."""
+    return [{pair: n for n, pair in level.items()} for level in encoder(levels)]
+
+
+def _apex(f, g, names):
+    """The apex carriers over the fiber pairs of ``f`` and ``g``, as keyword
+    arguments of :class:`TwoReflexiveGraph`, each cell named by ``names``,
+    per level a map from each pair to its name.  Legs that break boundaries
+    can put the boundary or identity pair of an apex cell outside the
+    fiber; then :class:`MalformedData` names the least such cell by its
+    :func:`encoder` name, whatever ``names`` are.
+    """
+    a, c = f.source, g.source
     objs, ones, twos = names
     try:
         one_identity = {n: ones[a.one_identity[x], c.one_identity[y]] for (x, y), n in objs.items()}
@@ -94,6 +109,7 @@ def fiber_product(f, g):
             (ds, cs), (dt, ct) = a.two_cells[s], c.two_cells[t]
             two_cells[n] = (ones[ds, dt], ones[cs, ct])
     except KeyError:
+        objs, ones, twos = names = _named(names)
         needs = (  # per level, the pairs of an apex cell's boundary and identity, by index
             lambda x, y: [(ones, (a.one_identity[x], c.one_identity[y]))],
             lambda u, w: [*((objs, p) for p in zip(a.one_cells[u], c.one_cells[w])),
@@ -107,9 +123,15 @@ def fiber_product(f, g):
         raise MalformedData(
             f"the boundary or identity of apex cell {least!r} is outside the fiber"
         ) from None
-    carriers = dict(objects=objs.values(), one_cells=one_cells, one_identity=one_identity,
-                    two_cells=two_cells, two_identity=two_identity)
-    return carriers, names
+    return dict(objects=objs.values(), one_cells=one_cells, one_identity=one_identity,
+                two_cells=two_cells, two_identity=two_identity)
+
+
+def _pair_apex(f, g):
+    """The apex carriers of :func:`_apex` with each cell named by its own
+    pair, and those per-level pair maps: no name is built."""
+    names = [dict(zip(level, level)) for level in fiber_product(f, g)]
+    return _apex(f, g, names), names
 
 
 def _join(f, g, k, names):
@@ -145,9 +167,9 @@ def pullback(f, g):
     """
     if f.target != g.target:
         raise MismatchedTarget("pullback needs morphisms into the same 2-category")
-    carriers, names = fiber_product(f, g)
+    names = _named(fiber_product(f, g))
     apex = TwoCategory(
-        **carriers,
+        **_apex(f, g, names),
         one_compose=_join(f, g, 0, names[1]),
         vert_compose=_join(f, g, 1, names[2]),
         horiz_compose=_join(f, g, 2, names[2]),
@@ -169,8 +191,8 @@ def graph_pullback(f, g):
     """
     if f.target != g.target:
         raise MismatchedTarget("graph pullback needs a common target")
-    carriers, names = fiber_product(f, g)
-    apex = TwoReflexiveGraph(**carriers)
+    names = _named(fiber_product(f, g))
+    apex = TwoReflexiveGraph(**_apex(f, g, names))
     proj1 = TwoFunctor(apex, f.source, *projections(names, 0))
     proj2 = TwoFunctor(apex, g.source, *projections(names, 1))
     return apex, proj1, proj2
@@ -180,12 +202,19 @@ def pair_into_pullback(result, u, w):
     """The mediating functor of a commuting cone ``(u, w)`` over a pullback."""
     if u.source != w.source:
         raise MismatchedTarget("cone legs must share their source")
+    return TwoFunctor(u.source, result.apex, *_cone(result.names, u, w))
+
+
+def _cone(names, u, w):
+    """Per level, the map from each cell ``x`` of the cone's source to the
+    apex cell that ``names`` gives the pair ``(u x, w x)``.  A pair outside
+    the fiber raises :class:`MismatchedTarget`."""
     src = u.source
     try:
-        maps = [
-            {x: names[(um[x], wm[x])] for x in carrier}
-            for names, carrier, um, wm in zip(
-                result.names,
+        return [
+            {x: level[um[x], wm[x]] for x in carrier}
+            for level, carrier, um, wm in zip(
+                names,
                 (src.objects, src.one_cells, src.two_cells),
                 (u.f0, u.f1, u.f2),
                 (w.f0, w.f1, w.f2),
@@ -193,7 +222,6 @@ def pair_into_pullback(result, u, w):
         ]
     except KeyError as exc:
         raise MismatchedTarget(f"the cone does not commute at {exc}") from None
-    return TwoFunctor(src, result.apex, *maps)
 
 
 def terminal():

@@ -12,7 +12,7 @@ part).  The checks of semi-left-exactness and of stable units decide the
 paper's claims with them, probing with ``T`` from :mod:`.limits`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     TwoCategory,
@@ -50,7 +50,17 @@ def reflect(cat):
     boundary), and ``fibers`` records the partition of the original
     2-cells.  Law-breaking input on which the induced tables are not
     well defined raises :class:`LawViolation`.
+
+    A 2-preorder reflects to itself: its classes are singletons, so the
+    result is a copy of ``cat`` sharing its carriers and tables, the unit
+    is the identity and each 2-cell is its own fiber; no boundary is
+    indexed.
     """
+    if is_two_preorder(cat):
+        reflected = replace(cat)
+        maps = ({x: x for x in cells} for cells in (cat.objects, cat.one_cells, cat.two_cells))
+        fibers = {t: frozenset((t,)) for t in cat.two_cells}
+        return ReflectionResult(reflected, TwoFunctor(cat, reflected, *maps), fibers)
     classes = cat._hom_index
     name_of = {boundary: members[0] for boundary, members in classes.items()}
     f2 = {t: name_of[boundary] for t, boundary in cat.two_cells.items()}

@@ -7,7 +7,7 @@ import pytest
 
 import twocat as tc
 import twocat.classify as bound_name
-from twocat import core
+from twocat import core, reflection
 
 from conftest import (
     descent_probe_setup,
@@ -425,6 +425,69 @@ class TestCoveringOracleAgainstTheReference:
                 assert mine == outcome_of(reference.covering_oracle, on_reference(reference, fun))
                 verdicts.append(mine)
         assert (len(verdicts), verdicts.count(True), verdicts.count(False)) == (261, 119, 142)
+
+
+def tabled_trivial_covering_oracle(fun):
+    """The trivial-covering oracle over the tabled, named pullback square:
+    the comparison from the source is a levelwise bijection onto its apex."""
+    square, comparison = reflection._reflected_square(fun)
+    return all(
+        core._bijectivity_witness(mapping, codomain) is None
+        for mapping, codomain in (
+            (comparison.f0, square.apex.objects),
+            (comparison.f1, square.apex.one_cells),
+            (comparison.f2, square.apex.two_cells),
+        )
+    )
+
+
+def boundary_breaking_edits(cat, max_two_cells):
+    """The identity functor of ``cat`` with ``f1`` swapped between two
+    parallel 1-cells, and, if ``cat`` has at most ``max_two_cells`` 2-cells,
+    with ``f2`` sent at one cell onto a cell of another boundary."""
+    identity = tc.identity_two_functor(cat)
+    f0, f1, f2 = identity.f0, identity.f1, identity.f2
+    for h, ends in sorted(cat.one_cells.items()):
+        for k in sorted(cat._ones_by_ends[ends]):
+            if h < k:
+                yield tc.TwoFunctor(cat, cat, f0, {**f1, h: k, k: h}, f2)
+    if len(cat.two_cells) <= max_two_cells:
+        for t, ends in sorted(cat.two_cells.items()):
+            for u, other in sorted(cat.two_cells.items()):
+                if other != ends:
+                    yield tc.TwoFunctor(cat, cat, f0, f1, {**f2, t: u})
+
+
+class TestTrivialCoveringOracleAgainstTheReference:
+    """The oracle reads fiber pairs; the reference and the tabled square
+    build every fiber product with names and tables."""
+
+    def test_edited_identities(self, gallery_objects, reference):
+        """The corpus of :class:`TestCoveringOracleAgainstTheReference`."""
+        cats = [cat for name, cat in gallery_objects.items() if name != "vh4"]
+        cats += [tc.random_instance(seed, 4, 16, 32) for seed in range(40)]
+        verdicts = []
+        for cat in cats:
+            for fun in edited_identities(cat):
+                mine = outcome_of(tc.trivial_covering_oracle, fun)
+                assert mine == outcome_of(reference.trivial_covering_oracle,
+                                          on_reference(reference, fun))
+                verdicts.append(mine)
+        assert (len(verdicts), verdicts.count(True), verdicts.count(False)) == (261, 119, 142)
+
+    def test_edits_that_break_boundaries(self, gallery_objects):
+        """Each outcome is the tabled square's, verdict or error and message.
+        vh4 (1,234 2-cells) is left out, and h4 (58) takes only ``f1`` swaps,
+        for time."""
+        raised = set()
+        for name, cat in gallery_objects.items():
+            if name == "vh4":
+                continue
+            for fun in boundary_breaking_edits(cat, max_two_cells=12):
+                mine = outcome_of(tc.trivial_covering_oracle, fun)
+                assert mine == outcome_of(tabled_trivial_covering_oracle, fun), name
+                raised.add(mine[0])
+        assert raised == {"MalformedData", "MismatchedTarget"}
 
 
 def levelwise_bijection(fun):

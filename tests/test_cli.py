@@ -1066,6 +1066,25 @@ def ids_of(value):
     return out
 
 
+def ends_of(value):
+    """The 2-categories a value's document holds: itself, or a functor's ends."""
+    return (value.source, value.target) if isinstance(value, tc.TwoFunctor) else (value,)
+
+
+def reserved_identities(cat):
+    """Whether every identity of ``cat`` is named ``id:<x>`` or ``vid:<u>``."""
+    return all(e == f"id:{x}" for x, e in cat.one_identity.items()) and all(
+        e == f"vid:{u}" for u, e in cat.two_identity.items())
+
+
+def without_identity_fields(doc):
+    """A category or functor document without its identity fields."""
+    if "source" in doc:
+        return dict(doc, source=without_identity_fields(doc["source"]),
+                    target=without_identity_fields(doc["target"]))
+    return {k: v for k, v in doc.items() if k not in ("one_identity", "two_identity")}
+
+
 def non_composable(cat, key):
     """The least pair of cells that does not compose in the table of ``key``."""
     ends = {"compose1": cat.one_cells, "vcompose": cat.two_cells, "hcompose": cat.horiz_ends()}[key]
@@ -1121,10 +1140,23 @@ class TestIdsAreReadOnce:
     only the rows the document lists, with the reference's outcomes."""
 
     def test_each_id_is_one_object(self):
+        """Also where the identity fields are dropped and the reader adopts
+        each listed ``id:<x>`` and ``vid:<u>`` cell as an identity: the
+        constructions whose identities all carry those names."""
         cats, functors = constructions()
+        adopted = 0
         for name, value in {**cats, **functors}.items():
-            ids = ids_of(parse_document(dumps(value)))
-            assert len({id(x) for x in ids}) == len(set(ids)), name
+            doc = to_document(value)
+            variants = [doc]
+            if all(map(reserved_identities, ends_of(value))):
+                variants.append(without_identity_fields(doc))
+                adopted += 1
+            for variant in variants:
+                parsed = parse_document(dumps(variant))
+                assert parsed == value, name
+                ids = ids_of(parsed)
+                assert len({id(x) for x in ids}) == len(set(ids)), name
+        assert adopted >= len(GALLERY_NAMES)
 
     @pytest.mark.parametrize("name", ["T3", "v4", "h4", "h4na", "vh4", "random3", "product"])
     def test_mutated_documents(self, name, reference_serialize, monkeypatch):
@@ -1318,11 +1350,13 @@ CHECKED_REQUESTS = (
 @pytest.fixture()
 def checks(monkeypatch):
     """Each value the row check of ``core`` is called on, once per call,
-    and each value a request parses or builds for checking: the categories
-    of its documents, the middle object of a factorization, a pullback apex.
-    ``check_well_formed`` and the readers both call that row check."""
-    checked, made = [], []
-    real = core._check_rows
+    each value a request parses or builds for checking: the categories of
+    its documents, the middle object of a factorization, a pullback apex,
+    and each value whose carriers are checked, once per check.
+    ``check_well_formed`` and the readers both call that row check, and it
+    and the functor checks call the carrier check."""
+    checked, made, carried = [], [], []
+    real, real_carriers = core._check_rows, core._check_carriers
 
     def counting(cat, listed):
         checked.append(cat)
@@ -1331,6 +1365,7 @@ def checks(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("twocat.") and getattr(module, "_check_rows", None) is real:
             monkeypatch.setattr(module, "_check_rows", counting)
+    monkeypatch.setattr(core, "_check_carriers", lambda cat: carried.append(cat) or real_carriers(cat))
 
     def recording(make, part):
         def wrapper(*args):
@@ -1344,7 +1379,7 @@ def checks(monkeypatch):
     monkeypatch.setattr(cli, "pullback", recording(cli.pullback, lambda result: result.apex))
     for name in ("reflective_factor", "monotone_light_factor"):
         monkeypatch.setattr(cli, name, recording(getattr(cli, name), lambda fac: fac.middle))
-    return checked, made
+    return checked, made, carried
 
 
 def _without_a_row(cat):
@@ -1356,18 +1391,21 @@ def _without_a_row(cat):
 
 class TestEachValueIsCheckedOnce:
     """A request through ``cli.main`` checks every value it parses or builds
-    for well-formedness, and each exactly once; the library entry points
-    still check what they are handed."""
+    for well-formedness, and the carriers of each, exactly once; the
+    library entry points still check what they are handed."""
 
     @pytest.mark.parametrize("command", CHECKED_REQUESTS, ids=" ".join)
     def test_requests_on_a_cover(self, cover_files, checks, capsys, command):
-        checked, made = checks
+        checked, made, carried = checks
         assert main([cover_files["T3"].get(arg, arg) for arg in command]) == 0
         capsys.readouterr()
-        ids = [id(value) for value in checked]
-        twice = [value for value in set(ids) if ids.count(value) > 1]
-        assert twice == [], command
-        assert made and {id(value) for value in made} <= set(ids), command
+        for values in (checked, carried):
+            ids = [id(value) for value in values]
+            twice = [value for value in set(ids) if ids.count(value) > 1]
+            assert twice == [], command
+        ids = {id(value) for value in checked}
+        assert made and {id(value) for value in made} <= ids, command
+        assert {id(value) for value in carried} == ids, command
 
     def test_library_entry_points_reject_malformed_ends(self):
         T = tc.make_T()

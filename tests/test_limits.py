@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -368,6 +369,16 @@ class TestEachFixedLegIsIndexedOnce:
         assert "_rows_by_image" not in vars(p)
         assert not any("_by_image" in vars(phi) for phi, _ in pulled_back)
 
+    def test_trivial_covering_oracle_of_the_v4_cover_projection(self, index_builds, pulled_back):
+        """One fiber product: the target's unit, walked, against the induced
+        functor, indexed once, its table rows never."""
+        _, p = tc.edm_cover(tc.make_v4())
+        assert tc.trivial_covering_oracle(p) == tc.is_trivial_covering(p)
+        [(unit, induced)] = pulled_back
+        assert unit.source is p.target and unit.target is induced.target
+        assert induced.source.objects == p.source.objects
+        assert index_builds == [induced] and "_rows_by_image" not in vars(induced)
+
 
 class TableJoined(Exception):
     pass
@@ -393,6 +404,29 @@ class TestCarrierOnlyCallersJoinNoTable:
             assert tc.covering_oracle(tc.identity_two_functor(cat))
         assert tc.check_stable_units(v4, h4) and tc.check_stable_units(h4, v4)
         assert tc.covering_oracle(p) and tc.is_covering(p)
+
+    def test_both_oracles_name_no_cell(self, monkeypatch):
+        """Both oracles read fiber pairs: they join no table, name no apex
+        cell, and build no projection and no mediating functor.  The cover
+        projections are both coverings, the collapse of T2 onto T neither."""
+        projections = [tc.edm_cover(base)[1] for base in (tc.make_T(), tc.make_v4())]
+        projections.append(pick_functor(tc.make_Tn(2), tc.make_T(), t1="t1", t2="t1"))  # neither
+        expected = [(tc.is_trivial_covering(p), tc.is_covering(p)) for p in projections]
+
+        def refuse(*args, **kwargs):
+            raise TableJoined
+
+        for name in ("_join", "encoder", "projections", "pair_into_pullback"):
+            real = getattr(limits, name)
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("twocat") and (
+                    getattr(module, name, None) is real
+                ):
+                    monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(TableJoined):
+            tc.pullback(projections[0], tc.identity_two_functor(projections[0].target))
+        answers = [(tc.trivial_covering_oracle(p), tc.covering_oracle(p)) for p in projections]
+        assert answers == expected
 
 
 class TestInjectiveNames:

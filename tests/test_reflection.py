@@ -81,6 +81,30 @@ class TestReflect:
         assert tc.validate_two_functor(reflected) == []
 
 
+class TestTwoPreordersReflectToThemselves:
+    """A 2-preorder's reflection is that of the general collapse, read
+    without indexing its boundaries."""
+
+    def test_gallery_and_random_instances(self, monkeypatch):
+        names = ("terminal", "T0", "T", "v4", "h4", "vh4", "h4na")
+        cats = [tc.gallery.by_name(name) for name in names]
+        cats += [tc.random_instance(seed, 4, 16, 32) for seed in range(40)]
+        preorders = [cat for cat in cats if tc.is_two_preorder(cat)]
+        assert len(preorders) == 6 + 30  # all of the gallery's but h4na
+        results = [tc.reflect(cat) for cat in preorders]
+        for cat, result in zip(preorders, results):
+            assert "_hom_index" not in vars(cat) and "_hom_index" not in vars(result.reflected)
+        monkeypatch.setattr(reflection, "is_two_preorder", lambda cat: False)
+        for cat, result in zip(preorders, results):
+            general = tc.reflect(cat)  # indexes cat
+            assert result.reflected == general.reflected == cat
+            assert result.reflected is not cat
+            for level in ("f0", "f1", "f2"):
+                assert getattr(result.unit, level) == getattr(general.unit, level)
+            assert result.unit.source is cat and result.unit.target is result.reflected
+            assert result.fibers == general.fibers
+
+
 class TestUniversalProperty:
     def test_every_map_to_a_two_preorder_factors_uniquely(self, gallery_objects):
         sources = ("T2", "T3", "v4")
@@ -639,7 +663,7 @@ class TestVerdictsBuildNoWitnessWork:
         indexed = witness_work["indexed"]
         indexed.clear()
         assert tc.check_stable_units(cat, other)
-        assert len(indexed) == 2 and indexed[0] is cat and indexed[1] is other  # by reflect
+        assert indexed == [cat]  # by reflect; other is a 2-preorder and reflects to itself
         assert witness_work["walked"] == []
 
     def test_classify_the_v4_cover_projection(self, witness_work):
