@@ -797,11 +797,13 @@ def coproduct(parts):
     Returns the union and the list of injection functors, which are jointly
     surjective and pairwise disjoint on carriers.
     """
-    objects = set()
+    objects, tagged = set(), []
     fields = {name: {} for name in _DICT_FIELDS}
     for index, part in enumerate(parts):
         tag = f"{index}:".__add__
-        objects.update(tag(x) for x in part.objects)
+        maps = [{c: tag(c) for c in cells} for cells in (part.objects, part.one_cells, part.two_cells)]
+        tagged.append((part, maps))
+        objects.update(maps[0].values())
         for name in _BOUNDARIES:
             fields[name].update(
                 {tag(u): (tag(d), tag(c)) for u, (d, c) in getattr(part, name).items()}
@@ -814,12 +816,7 @@ def coproduct(parts):
             )
 
     union = TwoCategory(objects=frozenset(objects), **fields)
-    injections = []
-    for index, part in enumerate(parts):
-        tag = f"{index}:".__add__
-        maps = ({c: tag(c) for c in cells} for cells in (part.objects, part.one_cells, part.two_cells))
-        injections.append(TwoFunctor(part, union, *maps))
-    return union, injections
+    return union, [TwoFunctor(part, union, *maps) for part, maps in tagged]
 
 
 def copair(union, injections, legs):

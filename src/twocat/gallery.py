@@ -2,7 +2,7 @@
 
 import random
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 from itertools import islice
 
 from .core import (
@@ -181,9 +181,10 @@ def _free_two_preorder_with_meta(presentation):
 def free_two_preorder(presentation):
     """All paths of an acyclic presentation with the generated 2-cell preorder.
 
-    The paths are listed in one depth-first walk that also finds cycles, so
-    a cyclic presentation, or one with a generator of unknown endpoint, is
-    rejected only after the acyclic paths the walk meets first are listed.
+    A cyclic presentation raises :class:`CyclicPresentation` before any
+    path is listed, after one walk over its objects and generators.  A
+    generator of unknown endpoint raises :class:`MalformedData` once the
+    paths are listed, so a cycle is reported first.
     """
     return _free_two_preorder_with_meta(presentation)[0]
 
@@ -226,14 +227,25 @@ VH4_PRESENTATION = TwoGraphPresentation(
 )
 
 
+@cache
+def _free_pair():
+    """The free v4 and h4 with path metadata; only copies are handed out."""
+    return tuple(map(_free_two_preorder_with_meta, (V4_PRESENTATION, H4_PRESENTATION)))
+
+
+def _copy(cat):
+    """``cat`` with carriers and tables of its own, in the same order."""
+    return replace(cat, **{name: dict(getattr(cat, name)) for name in _DICT_FIELDS})
+
+
 def make_v4():
     """A chain of three vertically composable 2-cells between two objects."""
-    return free_two_preorder(V4_PRESENTATION)
+    return _copy(_free_pair()[0][0])
 
 
 def make_h4():
     """A chain of three horizontally composable 2-cells across four objects."""
-    return free_two_preorder(H4_PRESENTATION)
+    return _copy(_free_pair()[1][0])
 
 
 def make_vh4():
@@ -248,14 +260,15 @@ def make_vh4():
 _SPANS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
-def _collapsed_h4(extra_cell):
-    """Four objects, one top and one bottom arrow per span, meet composition.
+def make_h4_na():
+    """The relaxed structure whose only broken law is horizontal associativity.
 
-    A horizontal composite is the 2-cell between the composite boundaries.
-    With ``extra_cell`` a second 2-cell ``a03x`` is placed beside the
-    full-span ``a03``, and a full-span composite whose split point is
-    object 1 lands on ``a03x``.  That redirect, ``a13 * a01 = a03x`` while
-    ``a23 * a02 = a03``, is exactly what breaks horizontal associativity.
+    Four objects, a top and a bottom arrow and a 2-cell between them per
+    span; a horizontal composite is the 2-cell between the composite
+    boundaries.  Beside the full-span ``a03`` sits ``a03x``, where the
+    pastings split at object 1 land: ``a13 * a01 = a03x`` while
+    ``a23 * a02 = a03``, so the axiom report fails exactly h-assoc at the
+    triple ``(a23, a12, a01)``.
     """
     objects = tuple(str(i) for i in range(4))
     one_cells = {f"id:{x}": (x, x) for x in objects}
@@ -264,8 +277,7 @@ def _collapsed_h4(extra_cell):
         one_cells[f"b{i}{j}"] = (str(i), str(j))
     two_cells = {f"vid:{u}": (u, u) for u in one_cells}
     two_cells.update({f"a{i}{j}": (f"t{i}{j}", f"b{i}{j}") for i, j in _SPANS})
-    if extra_cell:
-        two_cells["a03x"] = ("t03", "b03")
+    two_cells["a03x"] = ("t03", "b03")
     graph = TwoReflexiveGraph(
         objects=objects,
         one_cells=one_cells,
@@ -310,19 +322,9 @@ def _collapsed_h4(extra_cell):
     return assemble_two_category(graph, compose1, vert, horiz)
 
 
-def make_h4_na():
-    """The relaxed structure whose only broken law is horizontal associativity.
-
-    Pasting the three single-gap 2-cells in the two possible orders gives
-    two different full-span cells, so the axiom report fails exactly
-    h-assoc at the triple ``(a23, a12, a01)``.
-    """
-    return _collapsed_h4(extra_cell=True)
-
-
 def make_h4_assoc():
-    """The associative collapse of :func:`make_h4_na` (a genuine 2-preorder)."""
-    return _collapsed_h4(extra_cell=False)
+    """The reflection of :func:`make_h4_na`, a 2-preorder: ``a03x`` joins ``a03``."""
+    return reflect(make_h4_na()).reflected
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +374,11 @@ def _presented_functor(presentation, free, base, images):
     return TwoFunctor(source=part, target=base, f0=f0, f1=f1, f2=f2)
 
 
-#: The most 2-cells a descent cover may have.  ``edm-cover`` peaks at about
-#: 5.5 kB per cover 2-cell, its JSON output included, so this keeps it near
-#: 1.1 GB: the free 2-preorder on a path of 15 objects (178,920) still fits,
-#: and one on 16 objects (226,440) does not.
+#: The most 2-cells a descent cover, or a ``T<n>`` built by name, may have.
+#: ``edm-cover`` peaks at about 5.5 kB per cover 2-cell, its JSON output
+#: included, so this keeps it near 1.1 GB: the free 2-preorder on a path of
+#: 15 objects (178,920) still fits, and one on 16 objects (226,440) does not.
 EDM_COVER_MAX_TWO_CELLS = 200_000
-
-
-@cache
-def _free_pair():
-    """The free v4 and h4 with path metadata; only copies are handed out."""
-    return tuple(map(_free_two_preorder_with_meta, (V4_PRESENTATION, H4_PRESENTATION)))
 
 
 def edm_summands(base):
@@ -416,8 +412,7 @@ def _edm_summands(base, laws):
             raise BudgetExceeded(
                 f"the descent cover needs more than {EDM_COVER_MAX_TWO_CELLS} 2-cells"
             )
-        part = replace(part, **{name: dict(getattr(part, name)) for name in _DICT_FIELDS})
-        kinds.append((kind, presentation, (part, *meta), triples))
+        kinds.append((kind, presentation, (_copy(part), *meta), triples))
     out = []
     for kind, presentation, free, triples in kinds:
         for c3, c2, c1 in triples:
@@ -449,13 +444,10 @@ def edm_cover(base, summands=None):
 # seeded random corpus
 # ---------------------------------------------------------------------------
 
-_BLOCK_MAKERS = (terminal, *(partial(make_Tn, n) for n in range(5)), make_v4, make_h4)
-
-
 @cache
 def _building_blocks():
     """The blocks, built once per process; they are never handed out."""
-    return tuple(make() for make in _BLOCK_MAKERS)
+    return (terminal(), *map(make_Tn, range(5)), make_v4(), make_h4())
 
 
 def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
@@ -497,8 +489,9 @@ def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
                 candidate = _component(unit, rng.choice(probes)).apex
                 if fits(candidate):
                     current = candidate
-    # carriers are mutable dicts, so an unchanged block goes out as a fresh copy
-    return _BLOCK_MAKERS[start]() if current is blocks[start] else current
+    # carriers are mutable dicts, and a block and its reflection share the
+    # block's, so either goes out as a copy
+    return _copy(current) if current.two_cells is blocks[start].two_cells else current
 
 
 #: The gallery objects with fixed CLI names; ``T<n>`` names :func:`make_Tn`.
@@ -515,10 +508,20 @@ GALLERY_NAMES = tuple(_FIXED)
 
 
 def by_name(name):
-    """The gallery object for a CLI name such as ``T``, ``T3`` or ``v4``."""
+    """The gallery object for a CLI name such as ``T``, ``T3`` or ``v4``.
+
+    ``T<n>``, with ``n + 4`` 2-cells, raises :class:`BudgetExceeded` when
+    that is more than :data:`EDM_COVER_MAX_TWO_CELLS`, before ``n`` is
+    converted or anything is built.
+    """
     if name in _FIXED:
         return _FIXED[name]()
     count = name[1:]
     if name.startswith("T") and count.isascii() and count.isdigit():
-        return make_Tn(int(count))
+        digits, most = count.lstrip("0") or "0", EDM_COVER_MAX_TWO_CELLS - 4
+        if len(digits) > len(str(most)) or int(digits) > most:
+            raise BudgetExceeded(
+                f"T<n> for n above {most} has more than {EDM_COVER_MAX_TWO_CELLS} 2-cells"
+            )
+        return make_Tn(int(digits))
     raise MalformedData(f"unknown gallery name {name!r}")

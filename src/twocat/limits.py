@@ -1,5 +1,6 @@
 """Pointwise finite limits: pullbacks, binary products, the terminal object,
-and the probe family ``T_n`` that the reflection's checks pull back along.
+and the probe family ``T_n``, whose ``T = T_1`` is the probe that
+:func:`~twocat.reflection.check_semi_left_exact` pulls back along.
 
 Every fiber product starts from the apex pairs of :func:`fiber_product`.
 :func:`pullback` and :func:`graph_pullback` name each apex cell by the
@@ -245,12 +246,11 @@ def make_T():
     return make_Tn(1)
 
 
-def terminal_functor(cat, point=None):
+def terminal_functor(cat):
     """The unique functor into the terminal 2-category."""
-    point = point if point is not None else terminal()
     return TwoFunctor(
         source=cat,
-        target=point,
+        target=terminal(),
         f0={x: "pt" for x in cat.objects},
         f1={u: "id:pt" for u in cat.one_cells},
         f2={t: "vid:id:pt" for t in cat.two_cells},
@@ -259,8 +259,7 @@ def terminal_functor(cat, point=None):
 
 def product(a, b):
     """Binary product, computed as the pullback over the terminal object."""
-    point = terminal()
-    return pullback(terminal_functor(a, point), terminal_functor(b, point))
+    return pullback(terminal_functor(a), terminal_functor(b))
 
 
 def is_pullback_square(square):

@@ -9,7 +9,9 @@ on 2-cells; its underlying graph morphism is bijective on objects and
 The classes the reflection defines start here: :func:`is_vertical` (the
 functors it inverts) and :func:`is_stably_vertical` (their pullback-stable
 part).  The checks of semi-left-exactness and of stable units decide the
-paper's claims with them, probing with ``T`` from :mod:`.limits`.
+paper's claims with them: the first pulls the unit back along every probe
+from ``T`` of :mod:`.limits`, and the second asks whether each unit is
+stably vertical, with no pullback or probe.
 """
 
 from dataclasses import dataclass, replace
@@ -162,11 +164,7 @@ def validate_graph_morphism(mor):
 
 def in_class_E(mor):
     """Bijective on objects and 1-cells, surjective on 2-cells."""
-    return (
-        _bijectivity_witness(mor.f0, mor.target.objects) is None
-        and _bijectivity_witness(mor.f1, mor.target.one_cells) is None
-        and set(mor.f2.values()) == set(mor.target.two_cells)
-    )
+    return _bijective_below(mor, None) and set(mor.f2.values()) == set(mor.target.two_cells)
 
 
 def connected_component(cat, mu):

@@ -202,6 +202,21 @@ class TestLocalization:
             checked += 1
         assert checked > 10
 
+    def test_a_covering_is_what_the_cover_pulls_back_to_a_trivial_covering(
+        self, t_family, functor_corpus
+    ):
+        # the cover's projection is an effective descent morphism, so by
+        # Janelidze-Kelly a functor is a covering exactly when its pullback
+        # along the projection is a trivial covering: both directions hold
+        projections = [tc.edm_cover(target)[1] for target in t_family]
+        verdicts = []
+        for (_, n), funs in functor_corpus.items():
+            for fun in funs:
+                pulled = tc.pullback(projections[n], fun).proj1
+                verdicts.append(tc.is_covering(fun))
+                assert tc.trivial_covering_oracle(pulled) == verdicts[-1], fun
+        assert (len(verdicts), sum(verdicts)) == (128, 60)
+
 
 def _levelwise(fun):
     """The seven carrier levels of a functor as (elements, map) pairs."""

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twocat as tc
-from twocat import core, serialize
+from twocat import core, gallery, serialize
 from twocat.cli import main
 from twocat.serialize import (
     category_to_document,
@@ -711,6 +711,21 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: unknown gallery name 'T\u00b2'\n"
+
+    @pytest.mark.parametrize("count", ["9" * 5000, "1000000000"], ids=["5000-digits", "1e9"])
+    def test_gallery_refuses_a_count_over_the_budget_before_building(
+        self, monkeypatch, capsys, count
+    ):
+        # past 4,300 digits int() itself refuses; a build would call make_Tn
+        monkeypatch.setattr(gallery, "make_Tn", None)
+        assert main(["gallery", f"T{count}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        most = gallery.EDM_COVER_MAX_TWO_CELLS - 4
+        assert captured.err == (
+            f"error: T<n> for n above {most} has more than "
+            f"{gallery.EDM_COVER_MAX_TWO_CELLS} 2-cells\n"
+        )
 
     def test_iso_finds_and_refuses(self, workdir, capsys):
         _, write = workdir

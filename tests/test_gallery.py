@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twocat as tc
-from twocat import core
+from twocat import core, gallery
 from twocat.gallery import TwoGraphPresentation, by_name
 from twocat.serialize import dumps, parse_document
 
@@ -457,6 +457,16 @@ class TestRandomInstances:
         first.one_cells["extra"] = ("a", "a")
         assert tc.random_instance(2) == second
 
+    def test_a_mutated_instance_changes_no_later_one(self):
+        # seed 3 reflects the T0 block and seed 111 the v4 block: a
+        # 2-preorder reflects to a value that shares its carriers
+        for seed in (3, 111):
+            first = tc.random_instance(seed)
+            written = dumps(first)
+            for name in core._DICT_FIELDS:
+                getattr(first, name).clear()
+            assert dumps(tc.random_instance(seed)) == written
+
     @pytest.mark.parametrize("budget", [(6, 24, 48), (4, 16, 32)])
     def test_seeds_match_the_reference(self, budget, reference, reference_serialize):
         to_document = reference_serialize.category_to_document
@@ -474,6 +484,36 @@ class TestRandomInstances:
             tc.random_instance(0, 0, 0, 0)
 
 
+class TestFreeConstructionsAreBuiltOnce:
+    def test_the_free_v4_and_h4_are_each_built_once_per_process(self, monkeypatch):
+        built, build = [], gallery._free_two_preorder_with_meta
+
+        def counted(presentation):
+            built.append(presentation)
+            return build(presentation)
+
+        monkeypatch.setattr(gallery, "_free_two_preorder_with_meta", counted)
+        gallery._free_pair.cache_clear()
+        gallery._building_blocks.cache_clear()
+        for _ in range(2):
+            by_name("h4")
+            tc.random_instance(2)
+            tc.make_v4()
+            tc.edm_summands(tc.make_T())
+            tc.random_instance(111)
+            tc.make_h4()
+            by_name("v4")
+        assert built.count(gallery.V4_PRESENTATION) == 1
+        assert built.count(gallery.H4_PRESENTATION) == 1
+
+    def test_each_call_hands_out_a_copy_of_its_own(self):
+        for make in (tc.make_v4, tc.make_h4):
+            first, second = make(), make()
+            assert first == second
+            for name in core._DICT_FIELDS:
+                assert getattr(first, name) is not getattr(second, name), name
+
+
 class TestNames:
     def test_gallery_names_resolve(self):
         for name in ("T", "T3", "v4", "h4", "vh4", "h4na", "terminal"):
@@ -482,3 +522,16 @@ class TestNames:
     def test_unknown_name_is_malformed(self):
         with pytest.raises(tc.MalformedData):
             by_name("mystery")
+
+    def test_the_largest_count_is_the_one_the_budget_holds(self, monkeypatch):
+        assert len(tc.make_Tn(3).two_cells) == 3 + 4
+        most = gallery.EDM_COVER_MAX_TWO_CELLS - 4
+        built = []
+        monkeypatch.setattr(gallery, "make_Tn", built.append)
+        by_name(f"T{most}")
+        by_name(f"T000{most}")
+        assert built == [most, most]
+        for name in (f"T{most + 1}", f"T0{most + 1}"):
+            with pytest.raises(tc.BudgetExceeded):
+                by_name(name)
+        assert built == [most, most]

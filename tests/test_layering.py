@@ -1,6 +1,8 @@
-"""The package's modules import one another in one direction, at the top."""
+"""The package's modules import one another in one direction, at the top,
+and every private module-level name is used."""
 
 import ast
+from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -37,3 +39,44 @@ def test_module_level_imports_form_no_cycle():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         raise AssertionError(f"the package imports in a cycle: {exc.args[1]}") from None
+
+
+def bound_names(statement):
+    """The names a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def names_in(tree):
+    """Every name a subtree mentions: read, assigned, imported or an attribute."""
+    return Counter(
+        name
+        for node in ast.walk(tree)
+        for name in (
+            (node.id,) if isinstance(node, ast.Name)
+            else (node.attr,) if isinstance(node, ast.Attribute)
+            else (node.name,) if isinstance(node, ast.alias)
+            else ()
+        )
+    )
+
+
+def test_every_private_module_level_name_is_used_outside_its_definition():
+    modules = parsed_modules()
+    everywhere = sum((names_in(tree) for tree in modules.values()), Counter())
+    unused = [
+        f"{module}.{name}"
+        for module, tree in modules.items()
+        for statement in tree.body
+        for name in bound_names(statement)
+        if name.startswith("_") and not name.startswith("__")
+        and everywhere[name] == names_in(statement)[name]
+    ]
+    assert not unused, f"private names used nowhere but their definition: {unused}"
