@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import _chains, enumerate_two_functors
 from .limits import _cone, _pair_apex, make_T
-from .reflection import _induced_functor, is_stably_vertical, is_vertical, reflect
+from .reflection import _induced_functor, _refuted, is_stably_vertical, is_vertical, reflect
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,7 @@ def is_edm(fun, witness=None):
             continue
         least = min((t for t in _chains(target_ends, 3) if not lifts(t)), default=None)
         if least:
-            if witness is not None:
-                witness.append((kind,) + least)
-            return False
+            return _refuted(witness, (kind,) + least)
     return True
 
 
@@ -112,9 +110,7 @@ def is_trivial_covering(fun, witness=None):
             return True
     for (h, k), cells in sorted(src._hom_index.items()):
         if sorted(f2[t] for t in cells) != tgt._hom_index.get((fun.f1[h], fun.f1[k])):
-            if witness is not None:
-                witness.append((h, k))
-            return False
+            return _refuted(witness, (h, k))
     return True
 
 
@@ -127,9 +123,7 @@ def is_covering(fun, witness=None):
         for t in cells:
             image = fun.f2[t]
             if image in seen:
-                if witness is not None:
-                    witness.append((seen[image], t))
-                return False
+                return _refuted(witness, (seen[image], t))
             seen[image] = t
     return True
 

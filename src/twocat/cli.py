@@ -148,6 +148,13 @@ def cmd_factor(args):
 def cmd_pullback(args):
     f = _load_functor(args.f)
     g = _load_functor(args.g)
+    if f.target == g.target:  # else pullback raises MismatchedTarget
+        fibers = g._by_image[2]  # which pullback reads too
+        cells = sum(len(fibers.get(f.f2[t], ())) for t in f.source.two_cells)
+        if cells > gallery.EDM_COVER_MAX_TWO_CELLS:
+            raise BudgetExceeded(
+                f"the pullback has {cells} 2-cells, more than {gallery.EDM_COVER_MAX_TWO_CELLS}"
+            )
     result = pullback(f, g)
     sys.stdout.write(dumps({"apex": result.apex, "proj1": result.proj1, "proj2": result.proj2}))
     return EXIT_OK if validate_two_category(result.apex).all_pass else EXIT_CHECK_FAILED
@@ -247,15 +254,11 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (SearchCapExceeded, BudgetExceeded) as exc:
+    except TwoCatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except LawViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (MalformedData, TwoCatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        if isinstance(exc, (SearchCapExceeded, BudgetExceeded)):
+            return EXIT_CAP
+        return EXIT_CHECK_FAILED if isinstance(exc, LawViolation) else EXIT_MALFORMED
 
 
 if __name__ == "__main__":

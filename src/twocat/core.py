@@ -341,23 +341,18 @@ def _add_unit_rows(tables, one_cells, one_identity, two_cells, two_identity):
     hcompose ``tables`` for the identities :func:`_unit_maps` gives each
     cell ``f``, where a table has no row.  Two such rows on one pair agree,
     so the order of the cells does not matter."""
-    one, vert, horiz = tables
-    (r1, l1), (rv, lv), (rh, lh) = _unit_maps(one_cells, one_identity, two_cells, two_identity)
-    for f, (d, c) in one_cells.items():
-        if (e := r1.get(d)) is not None:
-            one.setdefault((f, e), f)
-        if (e := l1.get(c)) is not None:
-            one.setdefault((e, f), f)
-    for t, (vd, vc) in two_cells.items():
-        if (e := rv.get(vd)) is not None:
-            vert.setdefault((t, e), t)
-        if (e := lv.get(vc)) is not None:
-            vert.setdefault((e, t), t)
-        hd, hc = one_cells.get(vd, (None, None))  # the horizontal ends
-        if (e := rh.get(hd)) is not None:
-            horiz.setdefault((t, e), t)
-        if (e := lh.get(hc)) is not None:
-            horiz.setdefault((e, t), t)
+    none = (None, None)
+    horiz_ends = {t: one_cells.get(h, none) for t, (h, _) in two_cells.items()}
+    for table, ends, (right, left) in zip(
+        tables,
+        (one_cells, two_cells, horiz_ends),
+        _unit_maps(one_cells, one_identity, two_cells, two_identity),
+    ):
+        for f, (d, c) in ends.items():
+            if (e := right.get(d)) is not None:
+                table.setdefault((f, e), f)
+            if (e := left.get(c)) is not None:
+                table.setdefault((e, f), f)
 
 
 def _listed_rows(cat):
@@ -824,7 +819,7 @@ def copair(union, injections, legs):
     if len(injections) != len(legs):
         raise MismatchedBoundary("one leg per coproduct part is required")
     target = None
-    f0, f1, f2 = {}, {}, {}
+    maps = ({}, {}, {})
     for inj, leg in zip(injections, legs):
         if leg.source != inj.source:
             raise MismatchedBoundary("leg does not start at its coproduct part")
@@ -832,12 +827,11 @@ def copair(union, injections, legs):
             target = leg.target
         elif target != leg.target:
             raise MismatchedBoundary("legs end in different targets")
-        f0.update({v: leg.f0[x] for x, v in inj.f0.items()})
-        f1.update({v: leg.f1[u] for u, v in inj.f1.items()})
-        f2.update({v: leg.f2[t] for t, v in inj.f2.items()})
+        for out, into, via in zip(maps, (inj.f0, inj.f1, inj.f2), (leg.f0, leg.f1, leg.f2)):
+            out.update({v: via[x] for x, v in into.items()})
     if target is None:
         raise MismatchedBoundary("the empty coproduct has no canonical leg target")
-    return TwoFunctor(source=union, target=target, f0=f0, f1=f1, f2=f2)
+    return TwoFunctor(union, target, *maps)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ class SearchCapExceeded(TwoCatError):
 
 
 class BudgetExceeded(TwoCatError):
-    """A generation budget is too small to hold even the base cases."""
+    """A size budget is exceeded: a generation budget too small for the base
+    blocks, or a descent cover, ``T<n>`` or pullback with more 2-cells than
+    ``gallery.EDM_COVER_MAX_TWO_CELLS``."""
 
 
 class CyclicPresentation(TwoCatError):

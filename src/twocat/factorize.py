@@ -45,14 +45,7 @@ def reflective_factor(fun):
     morphisms and the trivial coverings.
     """
     square, e = _reflected_square(fun)
-    m = square.proj1
-    return MLFactorization(
-        e=e,
-        m=m,
-        middle=square.apex,
-        system="reflective",
-        certificates={"e": classify(e), "m": classify(m)},
-    )
+    return _certified("reflective", e, square.proj1)
 
 
 def monotone_light_factor(fun):
@@ -66,8 +59,8 @@ def monotone_light_factor(fun):
     """
     src, tgt = fun.source, fun.target
     tagged = {t: (*src.two_cells[t], fun.f2[t]) for t in sorted(src.two_cells)}
-    (cells,) = encoder([list(dict.fromkeys(tagged.values()))], arity=3)
-    name = {tag: n for n, tag in cells.items()}
+    (name,) = encoder([list(dict.fromkeys(tagged.values()))], arity=3)
+    cells = {n: tag for tag, n in name.items()}
 
     def vert(key):
         (_, k, b), (h, _, a) = cells[key[0]], cells[key[1]]
@@ -102,13 +95,13 @@ def monotone_light_factor(fun):
         f1=dict(fun.f1),
         f2={n: b for n, (_, _, b) in cells.items()},
     )
-    return MLFactorization(
-        e=e,
-        m=m,
-        middle=middle,
-        system="monotone_light",
-        certificates={"e": classify(e), "m": classify(m)},
-    )
+    return _certified("monotone_light", e, m)
+
+
+def _certified(system, e, m):
+    """The factorization ``m . e`` of ``system`` through ``e.target``, with
+    the :func:`classify` report of each leg as its certificate."""
+    return MLFactorization(e, m, e.target, system, {"e": classify(e), "m": classify(m)})
 
 
 def verify_factorization(fun, fac):

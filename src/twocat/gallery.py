@@ -374,10 +374,11 @@ def _presented_functor(presentation, free, base, images):
     return TwoFunctor(source=part, target=base, f0=f0, f1=f1, f2=f2)
 
 
-#: The most 2-cells a descent cover, or a ``T<n>`` built by name, may have.
-#: ``edm-cover`` peaks at about 5.5 kB per cover 2-cell, its JSON output
-#: included, so this keeps it near 1.1 GB: the free 2-preorder on a path of
-#: 15 objects (178,920) still fits, and one on 16 objects (226,440) does not.
+#: The most 2-cells a descent cover, a ``T<n>`` built by name, or the apex
+#: of a CLI ``pullback`` may have.  ``edm-cover`` peaks at about 5.5 kB per
+#: cover 2-cell, its JSON output included, so this keeps it near 1.1 GB: the
+#: free 2-preorder on a path of 15 objects (178,920) still fits, and one on
+#: 16 objects (226,440) does not.
 EDM_COVER_MAX_TWO_CELLS = 200_000
 
 
@@ -471,24 +472,17 @@ def random_instance(seed, max_objects=6, max_one_cells=24, max_two_cells=48):
     for _ in range(rng.randint(0, 3)):
         op = rng.choice(("coproduct", "product", "reflect", "component"))
         if op == "coproduct":
-            other = rng.choice(blocks)
-            candidate, _ = coproduct([current, other])
-            if fits(candidate):
-                current = candidate
+            candidate, _ = coproduct([current, rng.choice(blocks)])
         elif op == "product":
-            other = rng.choice(blocks[:6])
-            candidate = product(current, other).apex
-            if fits(candidate):
-                current = candidate
+            candidate = product(current, rng.choice(blocks[:6])).apex
         elif op == "reflect":
-            current = reflect(current).reflected
+            candidate = reflect(current).reflected  # never larger, so it fits
         else:
             unit = reflect(current).unit
             probes = list(enumerate_two_functors(probe, unit.target))
-            if probes:
-                candidate = _component(unit, rng.choice(probes)).apex
-                if fits(candidate):
-                    current = candidate
+            candidate = _component(unit, rng.choice(probes)).apex if probes else current
+        if fits(candidate):
+            current = candidate
     # carriers are mutable dicts, and a block and its reflection share the
     # block's, so either goes out as a copy
     return _copy(current) if current.two_cells is blocks[start].two_cells else current

@@ -50,7 +50,7 @@ _PLAIN = {2: lambda x, y: f"({x}|{y})", 3: lambda h, k, b: f"({h}=>{k}|{b})"}
 def encoder(levels, arity=2):
     """Names for the tuples on each level: ``(x|y)``, or ``(h=>k|b)`` for arity 3.
 
-    Returns, per level, a map from each name to its tuple.  Parts render as
+    Returns, per level, a map from each tuple to its name.  Parts render as
     they are unless that gives two tuples of one level the same name; then
     every name is encoded again with ``\\``, ``(``, ``)``, ``|`` and ``=>``
     backslash-escaped inside each part, which is injective.
@@ -61,8 +61,8 @@ def encoder(levels, arity=2):
         return plain(*(_DELIMITER.sub(r"\\\g<0>", str(p)) for p in parts))
 
     for encode in (plain, escaped):
-        named = [{encode(*cells): cells for cells in level} for level in levels]
-        if all(len(names) == len(level) for names, level in zip(named, levels)):
+        named = [{cells: encode(*cells) for cells in level} for level in levels]
+        if all(len(set(names.values())) == len(names) for names in named):
             break
     return named
 
@@ -82,11 +82,6 @@ def fiber_product(f, g):
         for xs, m, index in zip((a.objects, a.one_cells, a.two_cells), (f.f0, f.f1, f.f2),
                                 g._by_image)
     ]
-
-
-def _named(levels):
-    """Per level, the :func:`encoder` name of each pair."""
-    return [{pair: n for n, pair in level.items()} for level in encoder(levels)]
 
 
 def _apex(f, g, names):
@@ -110,7 +105,7 @@ def _apex(f, g, names):
             (ds, cs), (dt, ct) = a.two_cells[s], c.two_cells[t]
             two_cells[n] = (ones[ds, dt], ones[cs, ct])
     except KeyError:
-        objs, ones, twos = names = _named(names)
+        objs, ones, twos = names = encoder(names)
         needs = (  # per level, the pairs of an apex cell's boundary and identity, by index
             lambda x, y: [(ones, (a.one_identity[x], c.one_identity[y]))],
             lambda u, w: [*((objs, p) for p in zip(a.one_cells[u], c.one_cells[w])),
@@ -168,7 +163,7 @@ def pullback(f, g):
     """
     if f.target != g.target:
         raise MismatchedTarget("pullback needs morphisms into the same 2-category")
-    names = _named(fiber_product(f, g))
+    names = encoder(fiber_product(f, g))
     apex = TwoCategory(
         **_apex(f, g, names),
         one_compose=_join(f, g, 0, names[1]),
@@ -192,7 +187,7 @@ def graph_pullback(f, g):
     """
     if f.target != g.target:
         raise MismatchedTarget("graph pullback needs a common target")
-    names = _named(fiber_product(f, g))
+    names = encoder(fiber_product(f, g))
     apex = TwoReflexiveGraph(**_apex(f, g, names))
     proj1 = TwoFunctor(apex, f.source, *projections(names, 0))
     proj2 = TwoFunctor(apex, g.source, *projections(names, 1))

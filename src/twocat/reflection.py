@@ -184,10 +184,15 @@ def _bijective_below(fun, witness):
     for mapping, codomain in ((fun.f0, fun.target.objects), (fun.f1, fun.target.one_cells)):
         bad = _bijectivity_witness(mapping, codomain)
         if bad is not None:
-            if witness is not None:
-                witness.append(bad)
-            return False
+            return _refuted(witness, bad)
     return True
+
+
+def _refuted(witness, found):
+    """A refuting verdict: ``found`` goes to ``witness`` when one is kept, and False."""
+    if witness is not None:
+        witness.append(found)
+    return False
 
 
 def _pulled_back_homs(fun):
@@ -208,9 +213,7 @@ def is_vertical(fun, witness=None):
         return True
     for pair, _cells in _pulled_back_homs(fun):
         if pair not in fun.source._hom_index:
-            if witness is not None:
-                witness.append(pair)
-            return False
+            return _refuted(witness, pair)
     return True
 
 
@@ -228,9 +231,7 @@ def is_stably_vertical(fun, witness=None):
         image = {f2[t] for t in src._hom_index.get((h, k), ())}
         for b in cells:
             if b not in image:
-                if witness is not None:
-                    witness.append((h, k, b))
-                return False
+                return _refuted(witness, (h, k, b))
     return True
 
 

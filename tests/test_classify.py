@@ -217,6 +217,16 @@ class TestLocalization:
                 assert tc.trivial_covering_oracle(pulled) == verdicts[-1], fun
         assert (len(verdicts), sum(verdicts)) == (128, 60)
 
+    def test_the_seeded_functors_are_coverings_by_descent(self, seeded_functors):
+        # the same two directions on the 20 seeded functors, whose targets
+        # are random instances rather than members of the T family
+        verdicts = []
+        for fun in seeded_functors:
+            _, p = tc.edm_cover(fun.target)
+            verdicts.append(tc.is_covering(fun))
+            assert tc.trivial_covering_oracle(tc.pullback(p, fun).proj1) == verdicts[-1], fun
+        assert (len(verdicts), sum(verdicts)) == (20, 15)
+
 
 def _levelwise(fun):
     """The seven carrier levels of a functor as (elements, map) pairs."""

@@ -692,6 +692,27 @@ class TestCommands:
         apex = parse_document(json.dumps(payload["apex"]))
         assert tc.find_isomorphism(apex, t_family[2]) is not None
 
+    def test_pullback_stops_above_the_budget_before_building(
+        self, workdir, capsys, monkeypatch, t_family
+    ):
+        _, write = workdir
+        f = write("f.json", pick_functor(t_family[2], t_family[1], t1="t1", t2="t1"))
+        g = write("g.json", tc.identity_two_functor(t_family[1]))
+        other = write("other.json", tc.identity_two_functor(t_family[2]))
+        size = len(t_family[2].two_cells)  # the apex is a copy of T2
+        monkeypatch.setattr(gallery, "EDM_COVER_MAX_TWO_CELLS", size - 1)
+        monkeypatch.setattr(tc.limits, "_apex", None)
+        assert main(["pullback", f, g]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the pullback has {size} 2-cells, more than {size - 1}\n"
+        assert main(["pullback", f, other]) == 2  # mismatched targets are checked first
+        capsys.readouterr()
+        monkeypatch.undo()
+        monkeypatch.setattr(gallery, "EDM_COVER_MAX_TWO_CELLS", size)
+        assert main(["pullback", f, g]) == 0
+        assert len(json.loads(capsys.readouterr().out)["apex"]["two_cells"]) == size
+
     def test_edm_cover_reports_summand_counts(self, workdir, capsys):
         _, write = workdir
         assert main(["edm-cover", write("t.json", tc.make_T())]) == 0
