@@ -13,8 +13,9 @@ use them; :func:`classify` reports them beside the three defined here.
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import _chains, enumerate_two_functors
-from .limits import _cone, _pair_apex, make_T
+from .core import _chains, _graph_violations, enumerate_two_functors
+from .errors import MalformedData
+from .limits import _cone, _pair_apex, _pair_boundaries, make_T
 from .reflection import _induced_functor, _refuted, is_stably_vertical, is_vertical, reflect
 
 
@@ -161,14 +162,31 @@ def covering_oracle(fun):
     is a 2-preorder: no two of its 2-cells share their boundary pair.
     ``fun`` is the second leg, indexed once for all probes.
 
-    Only the apex carriers are built, each cell named by its pair.  Each
-    probe is a 2-functor by enumeration, so for a 2-functor ``fun`` the
-    join of the tables could not fail, and the verdict reads carriers
-    only, as the covering predicate does.
+    Each probe is a 2-functor by enumeration, so for a 2-functor ``fun``
+    the join of the tables could not fail, and the verdict reads the apex
+    2-cell boundaries only, as the covering predicate reads carriers.
+    When ``fun`` keeps boundaries and identities on both levels, out of a
+    source whose identity maps are total, every apex boundary and identity
+    pair lies in the fiber, and the boundary of an apex 2-cell ``(s, t)``
+    is read off those of ``s`` and ``t``: no apex carrier is built.
+    Otherwise each probe builds the apex carriers, each cell named by its
+    pair, whose check raises on a pair outside the fiber.
     """
+    src = fun.source
+    try:  # where a map or the source cannot be read, each probe raises as before
+        keeps = (
+            _graph_violations(fun, ends=()) == [[], []]
+            and src.one_identity.keys() == src.objects
+            and src.two_identity.keys() == src.one_cells.keys()
+        )
+    except (MalformedData, KeyError, TypeError, ValueError):
+        keeps = False
     for phi in enumerate_two_functors(make_T(), fun.target):
-        cells = _pair_apex(phi, fun)[0]["two_cells"]
-        if len(set(cells.values())) < len(cells):
+        if keeps:
+            boundaries = _pair_boundaries(phi, fun)
+        else:
+            boundaries = list(_pair_apex(phi, fun)[0]["two_cells"].values())
+        if len(set(boundaries)) < len(boundaries):
             return False
     return True
 

@@ -130,6 +130,14 @@ def _pair_apex(f, g):
     return _apex(f, g, names), names
 
 
+def _pair_boundaries(f, g):
+    """Per apex 2-cell ``(s, t)`` of :func:`fiber_product`, the boundaries
+    of ``s`` and ``t``: for legs that keep boundaries and identities, the
+    apex boundary of :func:`_pair_apex` with its parts regrouped."""
+    a2, c2 = f.source.two_cells, g.source.two_cells
+    return [(a2[s], c2[t]) for s, t in fiber_product(f, g)[2]]
+
+
 def _join(f, g, k, names):
     """Table ``k`` of the apex (compose1, vcompose, hcompose): a row per
     pair of the legs' rows whose ``(g, f)`` images agree, in the first

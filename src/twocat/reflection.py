@@ -24,6 +24,7 @@ from .core import (
     _graph_violations,
     check_well_formed,
     enumerate_two_functors,
+    is_two_preorder,
 )
 from .errors import LawViolation, MismatchedTarget
 from .limits import make_T, pair_into_pullback, pullback
@@ -36,11 +37,6 @@ class ReflectionResult:
     reflected: TwoCategory
     unit: TwoFunctor
     fibers: dict
-
-
-def is_two_preorder(cat):
-    """Whether no two distinct 2-cells share both vertical boundaries."""
-    return len(set(cat.two_cells.values())) == len(cat.two_cells)
 
 
 def reflect(cat):

@@ -7,7 +7,7 @@ import pytest
 
 import twocat as tc
 import twocat.classify as bound_name
-from twocat import core, reflection
+from twocat import core, limits, reflection
 
 from conftest import (
     descent_probe_setup,
@@ -450,6 +450,42 @@ class TestCoveringOracleAgainstTheReference:
                 assert mine == outcome_of(reference.covering_oracle, on_reference(reference, fun))
                 verdicts.append(mine)
         assert (len(verdicts), verdicts.count(True), verdicts.count(False)) == (261, 119, 142)
+
+    def test_edits_that_break_boundaries(self, gallery_objects):
+        """Each outcome is the per-probe apex check's, verdict or error and
+        message, on edits that break boundaries or send a cell outside the
+        target.  vh4 (1,234 2-cells) is left out, for time."""
+        outcomes = []
+        for name, cat in gallery_objects.items():
+            if name == "vh4":
+                continue
+            for fun in (*boundary_breaking_edits(cat, max_two_cells=12), *edits_outside_the_target(cat)):
+                mine = outcome_of(tc.covering_oracle, fun)
+                assert mine == outcome_of(per_probe_covering_oracle, fun), name
+                outcomes.append(mine if isinstance(mine, bool) else mine[0])
+        assert (len(outcomes), outcomes.count(True), outcomes.count("MalformedData")) == (497, 48, 449)
+
+
+def per_probe_covering_oracle(fun):
+    """The covering oracle from each probe's apex carriers, each cell named
+    by its pair, whose check raises on a pair outside the fiber."""
+    for phi in tc.enumerate_two_functors(tc.make_T(), fun.target):
+        cells = limits._pair_apex(phi, fun)[0]["two_cells"]
+        if len(set(cells.values())) < len(cells):
+            return False
+    return True
+
+
+def edits_outside_the_target(cat):
+    """The identity functor of ``cat`` with one entry of one carrier map
+    sent to a cell the target does not have."""
+    identity = tc.identity_two_functor(cat)
+    maps = (identity.f0, identity.f1, identity.f2)
+    for level, mapping in enumerate(maps):
+        for cell in sorted(mapping):
+            edited = list(maps)
+            edited[level] = {**mapping, cell: "outside"}
+            yield tc.TwoFunctor(cat, cat, *edited)
 
 
 def tabled_trivial_covering_oracle(fun):

@@ -398,20 +398,22 @@ class CountingTable(dict):
 def walk_counts(cat, monkeypatch):
     """The report of ``cat``, the triples each associativity walk compares
     (two reads each) and the quads the interchange walk compares (one
-    vertical read each)."""
-    triples, quads = [], []
+    vertical read each); a walk that does not run compares none."""
+    tables = (cat.one_compose, cat.vert_compose, cat.horiz_compose)
+    triples, quads = [0, 0, 0], [0]
     assoc_law, interchange_law = core._assoc_law, core._interchange_law
 
     def assoc(table, after):
+        level = next(k for k, t in enumerate(tables) if t is table)
         table = CountingTable(table)
         bad = assoc_law(table, after)
-        triples.append(table.gets // 2)
+        triples[level] = table.gets // 2
         return bad
 
     def interchange(two, vc, hc, vids, hids):
         vc = CountingTable(vc)
         bad = interchange_law(two, vc, hc, vids, hids)
-        quads.append(vc.gets)
+        quads[0] = vc.gets
         return bad
 
     monkeypatch.setattr(core, "_assoc_law", assoc)
@@ -443,16 +445,17 @@ class TestTheUnitLemmaSkipsIdentities:
     inner or outer cells are both vertical identities; where the unit laws
     hold, none whose left or right cells are both horizontal identities.
     Counted, not timed, on the v4 descent cover (202 / 1,054 / 2,300
-    cells)."""
+    cells) beside T2, which makes the union no 2-preorder, so the thin
+    lemma leaves every walk to run; T2 adds no chain off the identities."""
 
     #: Triples per associativity law, then quads: those of every walk, and
     #: those that run through no identity.
-    EVERY = (5_318, 7_577, 14_272), 13_714
+    EVERY = (5_326, 7_587, 14_286), 13_728
     OFF_IDENTITIES = (256, 229, 864), 1_280
 
     @pytest.fixture(scope="class")
     def cover(self):
-        return tc.edm_cover(tc.make_v4())[0]
+        return tc.coproduct([tc.edm_cover(tc.make_v4())[0], tc.make_Tn(2)])[0]
 
     def test_only_chains_off_the_identities(self, cover, monkeypatch):
         report, triples, quads = walk_counts(cover, monkeypatch)
@@ -460,10 +463,10 @@ class TestTheUnitLemmaSkipsIdentities:
         assert (triples, quads) == self.OFF_IDENTITIES
 
     @pytest.mark.parametrize("broken, walked_whole, quads", [
-        (("one_compose",), {"1-assoc", "h-assoc"}, 13_714),
-        (("vert_compose",), {"v-assoc", "h-assoc"}, 13_714),
-        (("horiz_compose",), {"h-assoc"}, 13_714),
-        (("one_compose", "vert_compose", "horiz_compose"), {"1-assoc", "v-assoc", "h-assoc"}, 13_714),
+        (("one_compose",), {"1-assoc", "h-assoc"}, 13_728),
+        (("vert_compose",), {"v-assoc", "h-assoc"}, 13_728),
+        (("horiz_compose",), {"h-assoc"}, 13_728),
+        (("one_compose", "vert_compose", "horiz_compose"), {"1-assoc", "v-assoc", "h-assoc"}, 13_728),
         ((), set(), 5_120),
     ], ids=["1-unit", "v-unit", "h-unit", "all units", "a row off the identities"])
     def test_a_failing_law_walks_what_it_guards(
@@ -515,6 +518,76 @@ class TestTheUnitLemmaSkipsIdentities:
         assert law_failures(reference, cat) == {
             "parallelism": ("b",), "boundary": ("b", "vid:id:x"),
         }
+
+
+class TestTheThinLemma:
+    """In a 2-preorder parallel 2-cells are equal, so once the boundary law
+    holds the walks of v-assoc and interchange do not run, nor h-assoc
+    where 1-assoc holds and identity-exchange where v-unit holds.  Every
+    report equals the reference's, which walks every law."""
+
+    @pytest.fixture(scope="class")
+    def cover(self):
+        return tc.edm_cover(tc.make_v4())[0]
+
+    def test_the_v4_cover_walks_only_one_cell_triples(self, cover, monkeypatch, reference):
+        assert tc.is_two_preorder(cover)
+        report, triples, quads = walk_counts(cover, monkeypatch)
+        assert report.all_pass
+        assert (triples, quads) == ((256, 0, 0), 0)
+        monkeypatch.undo()
+        assert law_failures(reference, cover) == {}
+
+    @pytest.mark.parametrize("field, unit, laws", [
+        ("one_compose", True, {"boundary", "1-unit", "identity-exchange"}),
+        ("one_compose", False, {"boundary", "identity-exchange"}),
+        ("vert_compose", True, {"boundary", "v-unit"}),
+        ("vert_compose", False, {"boundary"}),
+        ("horiz_compose", True, {"boundary", "h-unit"}),
+        ("horiz_compose", False, {"boundary", "h-assoc", "interchange"}),
+    ])
+    def test_a_broken_boundary_walks_every_law(self, cover, monkeypatch, reference, field, unit, laws):
+        broken = row_broken(cover, field, unit)
+        assert tc.is_two_preorder(broken)
+        report, triples, quads = walk_counts(broken, monkeypatch)
+        assert set(report.failures) == laws and 0 not in triples and quads > 0
+        monkeypatch.undo()
+        law_failures(reference, broken)
+
+    def test_a_failing_one_assoc_walks_h_assoc(self, monkeypatch, reference):
+        # one object and the loops p, q under a unital magma that is not
+        # associative, (pp)q = p but p(pq) = q; its only 2-cells are the
+        # identities, composed horizontally as their 1-cells are
+        magma = {("p", "p"): "q", ("p", "q"): "q", ("q", "p"): "p", ("q", "q"): "p"}
+        loops = build_two_category(
+            objects=["x"], one_cells={"p": ("x", "x"), "q": ("x", "x")}, two_cells={},
+            one_compose=magma,
+        )
+        cat = dataclasses.replace(loops, horiz_compose={
+            (f"vid:{g}", f"vid:{f}"): f"vid:{gf}" for (g, f), gf in loops.one_compose.items()
+        })
+        assert tc.is_two_preorder(cat)
+        report, triples, quads = walk_counts(cat, monkeypatch)
+        assert list(report.failures) == ["1-assoc", "h-assoc"]
+        assert (triples, quads) == ((8, 0, 8), 0)
+        monkeypatch.undo()
+        law_failures(reference, cat)
+
+    def test_a_failing_v_unit_walks_identity_exchange(self, monkeypatch, reference):
+        # the locally discrete a -f-> b -g-> c with the identity of f
+        # moved onto that of g: no row changes, so the boundary law holds
+        cat = build_two_category(
+            objects="abc", one_cells={"f": ("a", "b"), "g": ("b", "c"), "gf": ("a", "c")},
+            two_cells={}, one_compose={("g", "f"): "gf"},
+            horiz_compose={("vid:g", "vid:f"): "vid:gf"},
+        )
+        cat = dataclasses.replace(cat, two_identity={**cat.two_identity, "f": "vid:g"})
+        assert tc.is_two_preorder(cat)
+        report, triples, quads = walk_counts(cat, monkeypatch)
+        assert list(report.failures) == ["v-unit", "identity-exchange"]
+        assert triples[1:] == (0, 0) and quads == 0
+        monkeypatch.undo()
+        law_failures(reference, cat)
 
 
 class TestChainWalkCachesNothing:
