@@ -13,7 +13,7 @@ use them; :func:`classify` reports them beside the three defined here.
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import _chains, _graph_violations, enumerate_two_functors
+from .core import _by_ends, _chains, _graph_violations, enumerate_two_functors
 from .errors import MalformedData
 from .limits import _cone, _pair_apex, _pair_boundaries, make_T
 from .reflection import _induced_functor, _refuted, is_stably_vertical, is_vertical, reflect
@@ -109,8 +109,9 @@ def is_trivial_covering(fun, witness=None):
         sizes = Counter(tgt.two_cells.values())
         if all(sizes[get(h), get(k)] == n for (h, k), n in Counter(src.two_cells.values()).items()):
             return True
-    for (h, k), cells in sorted(src._hom_index.items()):
-        if sorted(f2[t] for t in cells) != tgt._hom_index.get((fun.f1[h], fun.f1[k])):
+    homs = _by_ends(tgt.two_cells)
+    for (h, k), cells in sorted(_by_ends(src.two_cells).items()):
+        if sorted(f2[t] for t in cells) != homs.get((fun.f1[h], fun.f1[k])):
             return _refuted(witness, (h, k))
     return True
 
@@ -119,7 +120,7 @@ def is_covering(fun, witness=None):
     """Injective on every vertical hom of the source."""
     if _injective_on_homs(fun):
         return True
-    for _pair, cells in sorted(fun.source._hom_index.items()):
+    for _pair, cells in sorted(_by_ends(fun.source.two_cells).items()):
         seen = {}
         for t in cells:
             image = fun.f2[t]

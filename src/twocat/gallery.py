@@ -10,6 +10,7 @@ from .core import (
     TwoFunctor,
     TwoReflexiveGraph,
     _DICT_FIELDS,
+    _by_ends,
     _chains,
     _group,
     assemble_two_category,
@@ -300,7 +301,7 @@ def make_h4_na():
         return a if b.startswith("vid:") else b
 
     he_cells = {f"vid:id:{x}" for x in objects}
-    by_boundary = graph._hom_index
+    by_boundary = _by_ends(graph.two_cells)
 
     def horiz(key):
         b, a = key

@@ -87,10 +87,11 @@ def fiber_product(f, g):
 def _apex(f, g, names):
     """The apex carriers over the fiber pairs of ``f`` and ``g``, as keyword
     arguments of :class:`TwoReflexiveGraph`, each cell named by ``names``,
-    per level a map from each pair to its name.  Legs that break boundaries
-    can put the boundary or identity pair of an apex cell outside the
-    fiber; then :class:`MalformedData` names the least such cell by its
-    :func:`encoder` name, whatever ``names`` are.
+    per level a map from each pair to its name.  Legs that break boundaries,
+    or sources whose identity maps are not total, can put the boundary or
+    identity pair of an apex cell outside the fiber; then
+    :class:`MalformedData` names the least such cell by its :func:`encoder`
+    name, whatever ``names`` are.
     """
     a, c = f.source, g.source
     objs, ones, twos = names
@@ -106,10 +107,12 @@ def _apex(f, g, names):
             two_cells[n] = (ones[ds, dt], ones[cs, ct])
     except KeyError:
         objs, ones, twos = names = encoder(names)
-        needs = (  # per level, the pairs of an apex cell's boundary and identity, by index
-            lambda x, y: [(ones, (a.one_identity[x], c.one_identity[y]))],
+        # per level, the pairs of an apex cell's boundary and identity, by
+        # index; a missing identity makes a pair outside the fiber
+        needs = (
+            lambda x, y: [(ones, (a.one_identity.get(x), c.one_identity.get(y)))],
             lambda u, w: [*((objs, p) for p in zip(a.one_cells[u], c.one_cells[w])),
-                          (twos, (a.two_identity[u], c.two_identity[w]))],
+                          (twos, (a.two_identity.get(u), c.two_identity.get(w)))],
             lambda s, t: [(ones, p) for p in zip(a.two_cells[s], c.two_cells[t])],
         )
         least = min(

@@ -21,6 +21,7 @@ from .core import (
     TwoFunctor,
     TwoReflexiveGraph,
     _bijectivity_witness,
+    _by_ends,
     _graph_violations,
     check_well_formed,
     enumerate_two_functors,
@@ -59,7 +60,7 @@ def reflect(cat):
         maps = ({x: x for x in cells} for cells in (cat.objects, cat.one_cells, cat.two_cells))
         fibers = {t: frozenset((t,)) for t in cat.two_cells}
         return ReflectionResult(reflected, TwoFunctor(cat, reflected, *maps), fibers)
-    classes = cat._hom_index
+    classes = _by_ends(cat.two_cells)
     name_of = {boundary: members[0] for boundary, members in classes.items()}
     f2 = {t: name_of[boundary] for t, boundary in cat.two_cells.items()}
     cls = f2.__getitem__
@@ -195,7 +196,8 @@ def _pulled_back_homs(fun):
     """The target's nonempty vertical homs over source 1-cells, least first:
     the walk for a failing vertical verdict's witness, ``f1`` a bijection."""
     inverse = {v: u for u, v in fun.f1.items()}
-    return sorted(((inverse[h], inverse[k]), b) for (h, k), b in fun.target._hom_index.items())
+    homs = _by_ends(fun.target.two_cells)
+    return sorted(((inverse[h], inverse[k]), b) for (h, k), b in homs.items())
 
 
 def is_vertical(fun, witness=None):
@@ -207,8 +209,9 @@ def is_vertical(fun, witness=None):
     pairs = {(get(h), get(k)) for h, k in fun.source.two_cells.values()}
     if pairs.issuperset(fun.target.two_cells.values()):
         return True
+    boundaries = set(fun.source.two_cells.values())
     for pair, _cells in _pulled_back_homs(fun):
-        if pair not in fun.source._hom_index:
+        if pair not in boundaries:
             return _refuted(witness, pair)
     return True
 
@@ -223,8 +226,9 @@ def is_stably_vertical(fun, witness=None):
         (get(h), get(k), f2[t]) for t, (h, k) in src.two_cells.items()
     }.issuperset((h, k, b) for b, (h, k) in fun.target.two_cells.items()):
         return True
+    homs = _by_ends(src.two_cells)
     for (h, k), cells in _pulled_back_homs(fun):
-        image = {f2[t] for t in src._hom_index.get((h, k), ())}
+        image = {f2[t] for t in homs.get((h, k), ())}
         for b in cells:
             if b not in image:
                 return _refuted(witness, (h, k, b))

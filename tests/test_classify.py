@@ -419,10 +419,10 @@ def edited_identities(cat):
     """The identity functor of ``cat``, each boundary-preserving edit of its
     ``f2`` at one cell (onto a parallel cell), and each swap of two parallel
     cells.  Most edits are no 2-functors; each swap stays injective on homs."""
-    identity = tc.identity_two_functor(cat)
+    identity, homs = tc.identity_two_functor(cat), core._by_ends(cat.two_cells)
     edits = [{}]
     for t, ends in sorted(cat.two_cells.items()):
-        for u in cat._hom_index[ends]:
+        for u in homs[ends]:
             if u != t:
                 edits += [{t: u}] + ([{t: u, u: t}] if t < u else [])
     return [tc.TwoFunctor(cat, cat, identity.f0, identity.f1, {**identity.f2, **edit})
@@ -508,8 +508,9 @@ def boundary_breaking_edits(cat, max_two_cells):
     with ``f2`` sent at one cell onto a cell of another boundary."""
     identity = tc.identity_two_functor(cat)
     f0, f1, f2 = identity.f0, identity.f1, identity.f2
+    by_ends = core._by_ends(cat.one_cells)
     for h, ends in sorted(cat.one_cells.items()):
-        for k in sorted(cat._ones_by_ends[ends]):
+        for k in by_ends[ends]:
             if h < k:
                 yield tc.TwoFunctor(cat, cat, f0, {**f1, h: k, k: h}, f2)
     if len(cat.two_cells) <= max_two_cells:

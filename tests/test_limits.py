@@ -113,7 +113,7 @@ def composition_breaking_legs():
     The pair is the first two cells of the least hom holding more than one.
     """
     cat = tc.random_instance(8)
-    homs = cat._hom_index
+    homs = core._by_ends(cat.two_cells)
     first, second = homs[min(ends for ends, cells in homs.items() if len(cells) > 1)][:2]
     idC = tc.identity_two_functor(cat)
     f2 = {t: second if t == first else t for t in cat.two_cells}
@@ -136,6 +136,24 @@ class TestLegsThatBreakTheStructure:
             "boundary law fails at ((((vid:h|vid:h')|t1)|((vid:h|vid:h')|t2)), "
             "(((vid:h|t1)|vid:h)|((vid:h|t1)|vid:h)))"
         )
+
+    @pytest.mark.parametrize("check", [
+        tc.covering_oracle,
+        tc.trivial_covering_oracle,
+        lambda fun: tc.pullback(tc.identity_two_functor(fun.target), fun),
+        lambda fun: tc.pullback(fun, tc.identity_two_functor(fun.target)),
+    ], ids=["covering oracle", "trivial covering oracle", "pullback, second leg", "pullback, first leg"])
+    @pytest.mark.parametrize("field, kept, cell", [
+        ("one_identity", {"a"}, re.escape("'(b|b)'")),
+        ("two_identity", {"h'", "id:a", "id:b"}, ".*"),  # the cell named depends on the apex
+    ], ids=["1-cell identities", "2-cell identities"])
+    def test_a_missing_identity_is_outside_the_fiber(self, check, field, kept, cell):
+        T = tc.make_T()
+        idT = tc.identity_two_functor(T)
+        cut = dataclasses.replace(T, **{field: {x: getattr(T, field)[x] for x in kept}})
+        fun = tc.TwoFunctor(cut, T, idT.f0, idT.f1, idT.f2)
+        with pytest.raises(tc.MalformedData, match=f"identity of apex cell {cell} is outside the fiber"):
+            check(fun)
 
 
 @pytest.fixture(scope="module")

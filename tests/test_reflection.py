@@ -91,9 +91,9 @@ class TestTwoPreordersReflectToThemselves:
         cats += [tc.random_instance(seed, 4, 16, 32) for seed in range(40)]
         preorders = [cat for cat in cats if tc.is_two_preorder(cat)]
         assert len(preorders) == 6 + 30  # all of the gallery's but h4na
+        grouped = count_groupings(monkeypatch)
         results = [tc.reflect(cat) for cat in preorders]
-        for cat, result in zip(preorders, results):
-            assert "_hom_index" not in vars(cat) and "_hom_index" not in vars(result.reflected)
+        assert grouped == []
         monkeypatch.setattr(reflection, "is_two_preorder", lambda cat: False)
         for cat, result in zip(preorders, results):
             general = tc.reflect(cat)  # indexes cat
@@ -608,21 +608,27 @@ class TestEachCategoryIsReflectedOnce:
         assert reflections_of(fun.source, calls) == reflections_of(fun.target, calls) == 1
 
 
+def count_groupings(monkeypatch):
+    """The ends maps passed to ``core._by_ends``, once per call, through
+    every module that binds it."""
+    grouped, real = [], core._by_ends
+
+    def by_ends(cells):
+        grouped.append(cells)
+        return real(cells)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twocat.") and getattr(module, "_by_ends", None) is real:
+            monkeypatch.setattr(module, "_by_ends", by_ends)
+    return grouped
+
+
 @pytest.fixture()
 def witness_work(monkeypatch):
-    """The carriers whose vertical homs are indexed, once per index built,
-    the apexes of the pullbacks that :mod:`twocat.reflection` builds, and
-    the functors whose pulled-back homs are walked for a witness."""
-    work = {"indexed": [], "apexes": [], "walked": []}
-    cached = core._Carriers.__dict__["_hom_index"]
-
-    class Counting:
-        def __get__(self, cat, owner=None):
-            if cat is not None and "_hom_index" not in vars(cat):
-                work["indexed"].append(cat)
-            return cached.__get__(cat, owner)
-
-    monkeypatch.setattr(core._Carriers, "_hom_index", Counting())
+    """The ends maps grouped by boundary, once per grouping built, the
+    apexes of the pullbacks that :mod:`twocat.reflection` builds, and the
+    functors whose pulled-back homs are walked for a witness."""
+    work = {"indexed": count_groupings(monkeypatch), "apexes": [], "walked": []}
     real_pullback, real_walk = reflection.pullback, reflection._pulled_back_homs
 
     def pullback(f, g):
@@ -647,13 +653,16 @@ class TestVerdictsBuildNoWitnessWork:
 
     def test_semi_left_exactness(self, witness_work):
         v4 = tc.make_v4()
-        probes = probe_count(v4)  # indexes v4
+        probes = probe_count(v4)  # groups the carriers of v4's reflection
         indexed, apexes = witness_work["indexed"], witness_work["apexes"]
         indexed.clear()
         assert tc.check_semi_left_exact(v4)
         assert len(apexes) == probes > 1
-        assert not any(apex is cat for apex in apexes for cat in indexed)
-        [reflected] = indexed  # searched for the probes
+        assert not any(cells is carrier for apex in apexes for carrier in (apex.one_cells, apex.two_cells)
+                       for cells in indexed)
+        ones, twos = indexed  # the reflection's, searched for the probes
+        reflected = tc.reflect(v4).reflected
+        assert (ones, twos) == (reflected.one_cells, reflected.two_cells)
         assert tc.is_two_preorder(reflected) and reflected.objects == v4.objects
         assert witness_work["walked"] == []
 
@@ -663,7 +672,8 @@ class TestVerdictsBuildNoWitnessWork:
         indexed = witness_work["indexed"]
         indexed.clear()
         assert tc.check_stable_units(cat, other)
-        assert indexed == [cat]  # by reflect; other is a 2-preorder and reflects to itself
+        # by reflect; other is a 2-preorder and reflects to itself
+        assert len(indexed) == 1 and indexed[0] is cat.two_cells
         assert witness_work["walked"] == []
 
     def test_classify_the_v4_cover_projection(self, witness_work):
